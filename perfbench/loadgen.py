@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 REQUEST_TIMEOUT_S = 60.0
 
-PATHS = {"table": "/sample_table", "stream": "/sample_table",
-         "database": "/sample_database"}
+PATHS = {"stream": "/sample_table", "database": "/sample_database"}
 
 
 def now_us() -> int:

@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload digix-bulk --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload digix-stream --seed 1 --seconds 50 --trace 0
 
 Each run fits the workload's artifact into an empty registry with the
 CLI, starts ``serve --registry DIR --digest HEX --executor process --mmap``
@@ -44,7 +44,7 @@ WORK = ROOT / ".perfbench_work"
 
 #: Set-ups per run (fit into an empty registry, serve until ready); the
 #: run reports their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 #: Request seeds drawn per run; a timed run stops long before the end.
 MAX_REQUESTS = 50_000
 

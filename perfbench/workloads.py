@@ -31,8 +31,8 @@ RETAIL_FIT_SEED = 7
 @dataclass(frozen=True)
 class Workload:
     name: str
-    #: "table" (POST /sample_table), "stream" (the same with ``stream``) or
-    #: "database" (POST /sample_database)
+    #: "stream" (POST /sample_table with ``stream``) or "database"
+    #: (POST /sample_database)
     endpoint: str
     #: subjects per request; ``None`` asks for the training size
     n: int | None
@@ -47,8 +47,13 @@ class Workload:
     trace_requests: int
 
 
+#: Two workloads, so that runs of 50 s take about as long in total as three
+#: workloads of 30 s did; longer runs average over more of the host's slow
+#: phases.  A buffered DIGIX workload (n=128 in 64-subject blocks) was
+#: dropped: it serves the same artifact through the same layers as
+#: digix-stream, and its few multi-second requests per run made it the
+#: most expensive to steady.
 WORKLOADS = {
-    "digix-bulk": Workload("digix-bulk", "table", 128, 64, 1, 4, 4),
     "digix-stream": Workload("digix-stream", "stream", 16, 8, 1, 8, 6),
     "retail-db": Workload("retail-db", "database", None, 64, 2, 200, 100),
 }
@@ -113,9 +118,7 @@ class Reference:
         from repro.serving.server import table_payload
 
         service, workload = self.service, self.workload
-        if workload.endpoint == "table":
-            answer = table_payload(service.sample_table(workload.n, seed=seed))
-        elif workload.endpoint == "stream":
+        if workload.endpoint == "stream":
             answer = [table_payload(block)
                       for block in service.iter_sample_table(workload.n, seed=seed)]
         else:
@@ -129,9 +132,7 @@ class Reference:
         expected = self.answer(first_seed)
         expected_text = canonical(expected)
         endpoint = self.workload.endpoint
-        if endpoint == "table":
-            columns = expected["columns"]
-        elif endpoint == "stream":
+        if endpoint == "stream":
             columns = expected[0]["columns"]
             chunks = len(expected)
         else:
@@ -140,10 +141,7 @@ class Reference:
 
         def check(outcome, parsed) -> list[str]:
             problems = []
-            if endpoint == "table":
-                tables = {"table": parsed}
-                expected_columns = {"table": columns}
-            elif endpoint == "stream":
+            if endpoint == "stream":
                 tables = {"chunk {}".format(i): chunk for i, chunk in enumerate(parsed)}
                 expected_columns = {name: columns for name in tables}
                 if len(parsed) != chunks:
