@@ -1,6 +1,6 @@
-"""Artifact-registry benchmark: fit-as-cache-hit, dedup, format migrations.
+"""Artifact-registry benchmark: fit-as-cache-hit and shared-part dedup.
 
-Measures the three things the content-addressed registry buys over plain
+Measures the two things the content-addressed registry buys over plain
 bundle files:
 
 * **fit as cache hit** — ``Registry.fit_or_load`` on a spec the registry
@@ -17,11 +17,7 @@ bundle files:
   pipeline must store at least one part once for several referencing part
   names (the edge synthesizers share config/vocabulary parts), i.e.
   ``bytes_reused > 0`` on a fresh save, and a second save of the same
-  artifact must write **zero** parts (incremental re-save);
-* **migration round trip** — a bundle downgraded to the synthetic v0
-  format must load transparently (migrated in memory on read) with
-  bit-identical samples, and batch-migrating it back must reproduce the
-  native v1 file **byte for byte**.
+  artifact must write **zero** parts (incremental re-save).
 
 Usage::
 
@@ -50,7 +46,7 @@ from repro.enhancement.enhancer import EnhancerConfig
 from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
 from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
-from repro.registry import Registry, downgrade_bundle_to_v0, fingerprint_table, migrate_bundle
+from repro.registry import Registry, fingerprint_table
 
 ENGINES = ("object", "compiled")
 
@@ -157,42 +153,7 @@ def run(n_users: int, n_customers: int, seed: int = 7,
         "incremental_resave": second.parts_written == 0,
     }
 
-    # -- migration round trip ----------------------------------------------------------
-    # v1 bundle -> synthetic v0 -> transparent load (migrated on read, same
-    # samples) -> batch migrate -> byte-identical to the native v1 file.
-    from repro.store.bundle import load_bundle
-
-    native = workdir / "native_v1"
-    pipeline = GReaTERPipeline(_pipeline_config(seed, "compiled"))
-    fitted_single = pipeline.fit(trial.ads, trial.feeds)
-    fitted_single.save(native)
-    reference = fitted_single.sample(n_users, seed=seed + 2).synthetic_flat
-
-    old = workdir / "downgraded_v0"
-    downgrade_bundle_to_v0(native, old)
-
-    start = time.perf_counter()
-    loaded, _ = load_bundle(old)
-    legacy_load_s = time.perf_counter() - start
-    legacy_flat = loaded.sample(n_users, seed=seed + 2).synthetic_flat
-
-    migrated = workdir / "migrated_v1"
-    result = migrate_bundle(old, out=migrated)
-    report["migration"] = {
-        "from_version": result["from_version"],
-        "to_version": result["to_version"],
-        "digest": result["digest"],
-        "legacy_load_s": round(legacy_load_s, 6),
-        "transparent_load_identical": (
-            fingerprint_table(legacy_flat) == fingerprint_table(reference)),
-        "round_trip_identical": migrated.read_bytes() == native.read_bytes(),
-    }
-
-    report["all_identical"] = (
-        report["cache_hit"]["identical_output"]
-        and report["migration"]["transparent_load_identical"]
-        and report["migration"]["round_trip_identical"]
-    )
+    report["all_identical"] = report["cache_hit"]["identical_output"]
     return report
 
 
@@ -233,16 +194,10 @@ def main(argv: list[str] | None = None) -> int:
               dedup["parts"], dedup["objects_stored"], dedup["total_bytes"],
               dedup["bytes_stored"], dedup["dedup_bytes_saved"],
               dedup["shared_objects"], dedup["resave_parts_written"]))
-    migration = report["migration"]
-    print("migration: v{} -> v{}  transparent load {:.4f}s identical={}  "
-          "round trip identical={}".format(
-              migration["from_version"], migration["to_version"],
-              migration["legacy_load_s"], migration["transparent_load_identical"],
-              migration["round_trip_identical"]))
     print("wrote {}".format(args.out))
 
     if not report["all_identical"]:
-        print("ERROR: cached/migrated output does not match the fresh fit")
+        print("ERROR: cached output does not match the fresh fit")
         return 1
     if not report["cache_hit"]["within_margin"]:
         print("ERROR: cache hit under the margin (object >= {}x, compiled "

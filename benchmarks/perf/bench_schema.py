@@ -13,9 +13,7 @@ customers with a secondary store key, plus a standalone stores table):
   per engine, and the two engines asserted identical to each other;
 * **referential integrity + seed determinism** — every foreign key of
   every sampled database present in its referenced table; same seed ->
-  byte-identical, different seed -> different;
-* **served database sharding** — ``SynthesisService.sample_database`` at
-  1/2/4 shards, asserting every shard count yields the identical database.
+  byte-identical, different seed -> different.
 
 Usage::
 
@@ -45,9 +43,7 @@ from repro.pipelines.multitable import (
     MultiTableSchemaPipeline,
 )
 from repro.schema import infer_schema
-from repro.serving import ServingConfig, SynthesisService
 
-SHARD_COUNTS = (1, 2, 4)
 
 #: ground-truth edges of the retail schema (see repro.datasets.relational)
 EXPECTED_EDGES = {
@@ -148,34 +144,11 @@ def run(n_customers: int, seed: int = 7) -> dict:
     report["engines"] = engines
     report["engines_identical"] = engine_bytes["object"] == engine_bytes["compiled"]
 
-    # -- served database sampling at several shard counts ------------------------------
-    bundle_path = workdir / "bundle_compiled"
-    serving: list[dict] = []
-    reference: dict[str, bytes] | None = None
-    for shards in SHARD_COUNTS:
-        service = SynthesisService.from_bundle(bundle_path, ServingConfig(
-            shards=shards, cache_bytes=0))
-        start = time.perf_counter()
-        database = service.sample_database(seed=seed + 3)
-        elapsed = time.perf_counter() - start
-        as_bytes = _database_bytes(database)
-        if reference is None:
-            reference = as_bytes
-        total_rows = sum(table.num_rows for table in database.values())
-        serving.append({
-            "shards": shards,
-            "seconds": round(elapsed, 6),
-            "rows_per_s": round(total_rows / elapsed, 1) if elapsed > 0 else float("inf"),
-            "identical_across_shards": as_bytes == reference,
-        })
-    report["serving"] = serving
-
     report["all_identical"] = (
         report["inference"]["graph_recovered"]
         and report["engines_identical"]
         and all(entry["load_sample_identical"] and entry["seed_deterministic"]
                 and entry["referentially_intact"] for entry in engines.values())
-        and all(entry["identical_across_shards"] for entry in serving)
     )
     return report
 
@@ -209,9 +182,6 @@ def main(argv: list[str] | None = None) -> int:
                   entry["save_s"], entry["load_s"], entry["load_sample_identical"],
                   entry["referentially_intact"]))
     print("engines identical: {}".format(report["engines_identical"]))
-    for entry in report["serving"]:
-        print("serving shards={shards}  {seconds:>8.3f}s  {rows_per_s:>9.1f} rows/s  "
-              "identical={identical_across_shards}".format(**entry))
     if not report["all_identical"]:
         print("ERROR: identity, integrity or recovery assertion failed")
         return 1

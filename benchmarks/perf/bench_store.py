@@ -9,9 +9,6 @@ Measures the three things the train-once / serve-many split buys:
   the loaded pipeline produces the **byte-identical** synthetic flat table
   (CSV bytes compared) for the same seed, on both the ``object`` and
   ``compiled`` engines;
-* **serving throughput** — block-sharded ``sample_table`` requests through
-  :class:`repro.serving.SynthesisService` at 1/2/4 shards, asserting every
-  shard count yields the identical table;
 * **process-worker scaling** — the same requests through the process
   executor (``ServingConfig(executor="process", mmap=True)``) at 1/2/4
   workers: rows/s plus p50/p95 from the serving latency histograms, a
@@ -52,7 +49,7 @@ Usage::
     PYTHONPATH=src python -m benchmarks.perf.bench_store --smoke   # CI-sized
 
 The report lands in ``BENCH_store.json``; the process exits non-zero on any
-load/sample, shard or worker mismatch, on a chaos-run failure or digest
+load/sample, coalescing or worker mismatch, on a chaos-run failure or digest
 mismatch, and on a sub-100% retries-on storm success rate (CI runs
 ``--smoke`` and fails on mismatch, and on a missed scaling margin when
 enough cores are present).
@@ -85,7 +82,6 @@ from repro.serving import ServingConfig, SynthesisService, process_peak_rss_byte
 from repro.store.bundle import load_fitted_pipeline
 from repro.store.stream import CsvTableSink
 
-SHARD_COUNTS = (1, 2, 4)
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -185,30 +181,7 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
         }
     report["engines"] = engines
 
-    # -- serving throughput at several shard counts -----------------------------------
     bundle_path = workdir / "bundle_compiled"
-    serving: list[dict] = []
-    reference: list[Table] | None = None
-    for shards in SHARD_COUNTS:
-        service = SynthesisService.from_bundle(bundle_path, ServingConfig(
-            shards=shards, block_size=max(8, n_sample // 8), cache_bytes=0))
-        start = time.perf_counter()
-        tables = [service.sample_table(n_sample, seed=seed + index)
-                  for index in range(requests)]
-        elapsed = time.perf_counter() - start
-        if reference is None:
-            reference = tables
-        identical = all(a == b for a, b in zip(tables, reference))
-        total_rows = sum(table.num_rows for table in tables)
-        serving.append({
-            "shards": shards,
-            "requests": requests,
-            "seconds": round(elapsed, 6),
-            "requests_per_s": round(requests / elapsed, 3) if elapsed > 0 else float("inf"),
-            "rows_per_s": round(total_rows / elapsed, 1) if elapsed > 0 else float("inf"),
-            "identical_across_shards": identical,
-        })
-    report["serving"] = serving
 
     # -- coalesced conditioned-row serving ----------------------------------------------
     service = SynthesisService.from_bundle(bundle_path, ServingConfig(cache_bytes=0))
@@ -534,7 +507,6 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
 
     report["all_identical"] = (
         all(entry["identical_output"] for entry in engines.values())
-        and all(entry["identical_across_shards"] for entry in serving)
         and report["coalescing"]["identical_output"]
         and report["process_serving"]["identical_across_workers"]
         and report["streaming"]["identical_output"]
@@ -551,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sample", type=int, default=96,
                         help="synthetic subjects per sampling request (default 96)")
     parser.add_argument("--requests", type=int, default=4,
-                        help="serving requests per shard count (default 4)")
+                        help="serving requests per measured configuration (default 4)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run (8 users, 16 subjects)")
     parser.add_argument("--seed", type=int, default=7)
@@ -588,10 +560,6 @@ def main(argv: list[str] | None = None) -> int:
               "cold-start speedup {:>8.2f}x  identical={}".format(
                   engine, entry["save_s"], entry["load_s"], entry["retrain_s"],
                   entry["cold_start_speedup"], entry["identical_output"]))
-    for entry in report["serving"]:
-        print("serving shards={:d}  {:>8.3f}s  {:>8.1f} rows/s  identical={}".format(
-            entry["shards"], entry["seconds"], entry["rows_per_s"],
-            entry["identical_across_shards"]))
     coalescing = report["coalescing"]
     print("coalescing {} requests: merged {:.3f}s vs solo {:.3f}s ({}x)  identical={}".format(
         coalescing["requests"], coalescing["merged_s"], coalescing["solo_s"],

@@ -12,11 +12,8 @@ The artifact-store workflow adds subcommands on top of the experiments
   fitted bundle (see :mod:`repro.store`);
 * ``greater sample`` — load a bundle and sample synthetic tables without
   retraining (optionally writing the flat table to CSV);
-* ``greater serve-bench`` — serve repeated sampling requests from a bundle
-  through :class:`repro.serving.SynthesisService` at several shard counts,
-  asserting that every shard count produces the identical table;
 * ``greater serve`` — run the asyncio HTTP serving front end on a bundle
-  (thread or process executor, bounded request queue with 429
+  (in-process or worker-process executor, bounded request queue with 429
   backpressure, ``/stats`` metrics — see :mod:`repro.serving.server`);
 * ``greater client`` — query a running server (table/rows/database
   sampling, stats, health) and print the rows like every other command;
@@ -43,9 +40,9 @@ The artifact-registry workflow (see :mod:`repro.registry`) adds:
   path, so scripts chain straight into ``serve``;
 * ``greater serve --registry DIR --digest HEX`` — serve an artifact by
   content digest out of the registry (workers resolve the same digest);
-* ``greater registry ls|show|gc|migrate|fingerprint`` — inspect artifacts
-  and their shared parts, reclaim unreferenced objects, batch-apply
-  format migrations to bundle files, and fingerprint a dataset directory.
+* ``greater registry ls|show|gc|fingerprint`` — inspect artifacts and
+  their shared parts, reclaim unreferenced objects, and fingerprint a
+  dataset directory.
 """
 
 from __future__ import annotations
@@ -87,14 +84,13 @@ _CONFIGURABLE = {"fig5", "fig7", "fig8", "fig9", "fig10", "sec442", "dataset"}
 COMMANDS = {
     "fit": "fit a pipeline on a DIGIX-like trial and save the fitted bundle",
     "sample": "load a fitted bundle and sample synthetic tables (no retraining)",
-    "serve-bench": "serve sampling requests from a bundle at several shard counts",
     "serve": "run the HTTP serving front end on a bundle (thread/process executor)",
     "client": "query a running 'greater serve' server (table, rows, database, stats)",
     "trace": "inspect a trace file from serve --trace (actions: summary, tree, slow)",
     "schema": "infer or show a relational schema graph (actions: infer, show)",
     "run": "fit the multitable pipeline on a directory of CSVs and sample a database",
     "registry": "inspect or maintain an artifact registry "
-                "(actions: ls, show, gc, migrate, fingerprint)",
+                "(actions: ls, show, gc, fingerprint)",
 }
 
 _PIPELINES = ("greater", "direct_flatten", "derec")
@@ -190,22 +186,17 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
         return parser
     if command == "registry":
         parser.add_argument("action",
-                            choices=("ls", "show", "gc", "migrate", "fingerprint"),
+                            choices=("ls", "show", "gc", "fingerprint"),
                             help="ls: artifacts in a registry; show: one artifact's "
                                  "parts, refcounts and bound runs; gc: delete "
-                                 "unreferenced objects; migrate: rewrite bundle files "
-                                 "in the current format; fingerprint: hash a dataset "
+                                 "unreferenced objects; fingerprint: hash a dataset "
                                  "directory")
         parser.add_argument("--registry", default=None,
                             help="registry directory (ls, show, gc)")
         parser.add_argument("--digest", default=None,
                             help="artifact digest or unique prefix (show)")
         parser.add_argument("paths", nargs="*",
-                            help="bundle files (migrate) or one dataset directory "
-                                 "(fingerprint)")
-        parser.add_argument("--out", default=None,
-                            help="migrate: write the rewritten bundle here instead of "
-                                 "in place (single input only)")
+                            help="one dataset directory (fingerprint)")
         return parser
     if command == "run":
         parser.add_argument("--pipeline", choices=("multitable",), default="multitable",
@@ -252,10 +243,11 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--port", type=int, default=0,
                             help="bind port (default 0: pick an ephemeral port)")
         parser.add_argument("--workers", type=int, default=1,
-                            help="sampling workers (shards) behind the server")
+                            help="worker processes behind the server (more than 1 "
+                                 "needs --executor process)")
         parser.add_argument("--executor", choices=("thread", "process"), default="thread",
-                            help="where sampling runs: in-process threads or a "
-                                 "bundle-loaded worker-process pool")
+                            help="where sampling runs: inline on the request thread or "
+                                 "on a pool of worker processes")
         parser.add_argument("--mmap", action="store_true",
                             help="memory-map the bundle's count tables on load")
         parser.add_argument("--block-size", type=int, default=64,
@@ -341,13 +333,6 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--chunk-rows", type=int, default=None,
                             help="stream the table to --out in blocks of this many "
                                  "subjects instead of materializing it (requires --out)")
-    if command == "serve-bench":
-        parser.add_argument("--requests", type=int, default=4,
-                            help="sampling requests per shard count (default 4)")
-        parser.add_argument("--shards", default="1,2,4",
-                            help="comma-separated worker counts to benchmark (default 1,2,4)")
-        parser.add_argument("--block-size", type=int, default=64,
-                            help="synthetic subjects per serving block (default 64)")
     return parser
 
 
@@ -447,53 +432,8 @@ def _run_sample(args) -> list[dict]:
     return [row]
 
 
-def _run_serve_bench(args) -> list[dict]:
-    from repro.serving import ServingConfig, SynthesisService
-
-    try:
-        shard_counts = [int(part) for part in str(args.shards).split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit("--shards must be a comma-separated list of integers")
-    base_seed = 0 if args.seed is None else args.seed
-    rows: list[dict] = []
-    all_identical = True
-    reference = None
-    for shards in shard_counts:
-        service = SynthesisService.from_bundle(args.bundle, ServingConfig(
-            shards=shards, block_size=args.block_size, cache_bytes=0))
-        if service.is_multitable:
-            raise SystemExit(
-                "serve-bench serves flat-table bundles; {} is a multitable bundle "
-                "(sample whole databases with 'run' or "
-                "SynthesisService.sample_database)".format(args.bundle))
-        n = service.fitted._resolve_n(args.n)
-        start = time.perf_counter()
-        tables = [service.sample_table(n, seed=base_seed + index)
-                  for index in range(args.requests)]
-        elapsed = time.perf_counter() - start
-        if reference is None:
-            reference = tables
-        identical = all(a == b for a, b in zip(tables, reference))
-        all_identical = all_identical and identical
-        total_rows = sum(table.num_rows for table in tables)
-        rows.append({
-            "command": "serve-bench",
-            "shards": shards,
-            "requests": args.requests,
-            "n_subjects": n,
-            "seconds": round(elapsed, 4),
-            "requests_per_s": round(args.requests / elapsed, 3) if elapsed > 0 else float("inf"),
-            "rows_per_s": round(total_rows / elapsed, 1) if elapsed > 0 else float("inf"),
-            "identical_across_shards": identical,
-        })
-    if not all_identical:
-        _emit_rows(rows, args.json)
-        raise SystemExit("ERROR: sharded serving output diverged between shard counts")
-    return rows
-
-
 def _run_serve(args) -> list[dict]:
-    from repro.serving import ServingConfig, SynthesisService
+    from repro.serving import ArtifactSource, ServingConfig, SynthesisService
     from repro.serving.server import run_server
     from repro.store.atomic import atomic_write_text
 
@@ -501,18 +441,18 @@ def _run_serve(args) -> list[dict]:
         raise SystemExit("serve requires exactly one of --bundle or --registry")
     if args.registry and not args.digest:
         raise SystemExit("serve --registry requires --digest")
-    config = ServingConfig(shards=args.workers, block_size=args.block_size,
-                           executor=args.executor, mmap=args.mmap,
-                           timeout_s=args.timeout_s, retries=args.retries,
-                           breaker_threshold=args.breaker_threshold,
-                           degraded_mode=args.degraded_mode, faults=args.faults,
-                           trace=args.trace)
-    if args.registry:
-        service = SynthesisService.from_registry(args.registry, args.digest, config)
-        source = "{}#{}".format(args.registry, service.digest[:12])
-    else:
-        service = SynthesisService.from_bundle(args.bundle, config)
-        source = args.bundle
+    try:
+        config = ServingConfig(shards=args.workers, block_size=args.block_size,
+                               executor=args.executor, mmap=args.mmap,
+                               timeout_s=args.timeout_s, retries=args.retries,
+                               breaker_threshold=args.breaker_threshold,
+                               degraded_mode=args.degraded_mode, faults=args.faults,
+                               trace=args.trace)
+    except ValueError as error:
+        raise SystemExit("serve: {}".format(error))
+    source = (ArtifactSource.registry(args.registry, args.digest) if args.registry
+              else ArtifactSource(args.bundle))
+    service = SynthesisService.from_source(source, config)
     started = time.perf_counter()
 
     def ready(host, port):
@@ -532,7 +472,7 @@ def _run_serve(args) -> list[dict]:
     stats = service.stats()
     return [{
         "command": "serve",
-        "bundle": source,
+        "bundle": str(source),
         "digest": service.digest[:12],
         "executor": args.executor,
         "workers": args.workers,
@@ -785,7 +725,7 @@ def _run_multitable(args) -> list[dict]:
 
 
 def _run_registry(args) -> list[dict]:
-    from repro.registry import Registry, fingerprint_directory, migrate_bundle
+    from repro.registry import Registry, fingerprint_directory
 
     if args.action in ("ls", "show", "gc"):
         if not args.registry:
@@ -831,23 +771,6 @@ def _run_registry(args) -> list[dict]:
         return rows
     if args.action == "gc":
         return [{"command": "registry gc", **registry.gc()}]
-    if args.action == "migrate":
-        if not args.paths:
-            raise SystemExit("registry migrate requires at least one bundle path")
-        if args.out and len(args.paths) != 1:
-            raise SystemExit("registry migrate --out takes exactly one bundle")
-        rows = []
-        for path in args.paths:
-            info = migrate_bundle(path, out=args.out)
-            rows.append({
-                "command": "registry migrate",
-                "path": info["path"],
-                "from_version": info["from_version"],
-                "to_version": info["to_version"],
-                "changed": info["changed"],
-                "digest": info["digest"][:12],
-            })
-        return rows
     if len(args.paths) != 1:
         raise SystemExit("registry fingerprint takes exactly one dataset directory")
     result = fingerprint_directory(args.paths[0])
@@ -859,7 +782,6 @@ def _run_registry(args) -> list[dict]:
 
 
 _COMMAND_RUNNERS = {"fit": _run_fit, "sample": _run_sample,
-                    "serve-bench": _run_serve_bench,
                     "serve": _run_serve, "client": _run_client,
                     "trace": _run_trace,
                     "schema": _run_schema, "run": _run_multitable,

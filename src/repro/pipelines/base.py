@@ -60,7 +60,7 @@ def block_plan(n: int, seed: int, block_size: int) -> list[tuple[int, int, int]]
 
     Block seeds come from ``derive_seed(seed, TABLE_BLOCK_STREAM, index)``,
     so the plan is a pure function of ``(n, seed, block_size)`` — any
-    consumer (thread shards, worker processes, streaming writers) that
+    consumer (the inline executor, worker processes, streaming writers) that
     samples these blocks and concatenates them in order reproduces the same
     table bit for bit.
     """

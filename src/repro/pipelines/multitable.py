@@ -66,8 +66,8 @@ class FittedMultiTablePipeline:
     def graph(self) -> SchemaGraph:
         return self.synthesizer.graph
 
-    def sample_database(self, n: int | dict | None = None, seed: int | None = None,
-                        map_fn=None) -> dict[str, Table]:
+    def sample_database(self, n: int | dict | None = None,
+                        seed: int | None = None) -> dict[str, Table]:
         """A whole synthetic database (see
         :meth:`repro.schema.multitable.MultiTableSynthesizer.sample_database`).
 
@@ -77,7 +77,7 @@ class FittedMultiTablePipeline:
         if n is None:
             n = self.config.n_root_rows
         seed = self.config.seed if seed is None else seed
-        return self.synthesizer.sample_database(n, seed=seed, map_fn=map_fn)
+        return self.synthesizer.sample_database(n, seed=seed)
 
     def sample(self, n: int | dict | None = None, seed: int | None = None) -> dict[str, Table]:
         """Alias for :meth:`sample_database` (the pipelines' common verb)."""

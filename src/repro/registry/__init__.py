@@ -1,4 +1,4 @@
-"""Content-addressed artifact registry with provenance and migrations.
+"""Content-addressed artifact registry with provenance.
 
 The bundle layer (:mod:`repro.store.bundle`) persists one fitted object as
 one archive file.  This package grows that into a *registry* — a directory
@@ -17,11 +17,10 @@ that many training runs and serving fleets share:
   collection;
 * :mod:`repro.registry.fingerprint` — deterministic dataset fingerprints
   over the columnar backend (:func:`fingerprint_table`) and over raw CSV
-  directories (:func:`fingerprint_directory`);
-* :mod:`repro.registry.migrations` — selector-registered format
-  migrations applied on read when a bundle predates
-  :data:`~repro.store.bundle.BUNDLE_FORMAT_VERSION`, and batch-applied by
-  ``greater registry migrate``.
+  directories (:func:`fingerprint_directory`).
+
+Artifacts of any ``format_version`` other than
+:data:`~repro.store.bundle.BUNDLE_FORMAT_VERSION` are rejected on read.
 
 Attributes resolve lazily (PEP 562), mirroring :mod:`repro.store`.
 """
@@ -31,7 +30,6 @@ from importlib import import_module
 #: public name -> defining submodule, resolved on first attribute access
 _EXPORTS = {
     "ContentStore": "repro.registry.cas",
-    "RegistrySource": "repro.registry.cas",
     "blob_digest": "repro.registry.cas",
     "Registry": "repro.registry.record",
     "fit_spec": "repro.registry.record",
@@ -41,11 +39,6 @@ _EXPORTS = {
     "SaveReport": "repro.registry.record",
     "fingerprint_table": "repro.registry.fingerprint",
     "fingerprint_directory": "repro.registry.fingerprint",
-    "Migration": "repro.registry.migrations",
-    "register_migration": "repro.registry.migrations",
-    "apply_migrations": "repro.registry.migrations",
-    "migrate_bundle": "repro.registry.migrations",
-    "downgrade_bundle_to_v0": "repro.registry.migrations",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -18,7 +18,6 @@ the same part shares one page-cache copy.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.store.atomic import atomic_path
@@ -28,22 +27,6 @@ from repro.store.codec import StoreError
 def blob_digest(blob: bytes) -> str:
     """The SHA-256 content address of *blob*."""
     return hashlib.sha256(blob).hexdigest()
-
-
-@dataclass(frozen=True)
-class RegistrySource:
-    """A picklable reference to an artifact inside a registry.
-
-    The worker-pool analogue of a bundle path: worker processes cold-start
-    by resolving ``digest`` against the registry at ``root`` (see
-    :meth:`repro.serving.service.SynthesisService.from_registry`).
-    """
-
-    root: str
-    digest: str
-
-    def __str__(self) -> str:
-        return "{}#{}".format(self.root, self.digest[:12])
 
 
 class ContentStore:

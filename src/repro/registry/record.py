@@ -36,6 +36,7 @@ from repro.store.bundle import (
     BundleIntegrityError,
     _engine_meta,
     bundle_writer_for,
+    check_format_version,
     read_bundle_object,
     verify_parts,
 )
@@ -81,8 +82,8 @@ class RegistryReader(BasePartReader):
     With ``mmap=True``, uncompressed NPZ parts are memory-mapped straight
     from their object files (raw part bytes are valid standalone ``.npz``
     files), so concurrent serving workers share one page-cache copy per
-    part.  Artifacts recorded under an older format version are migrated
-    in memory on read, like legacy bundle files.
+    part.  Artifacts recorded under another format version are rejected,
+    like bundle files.
     """
 
     def __init__(self, store: ContentStore, record: dict, source: str,
@@ -101,19 +102,12 @@ class RegistryReader(BasePartReader):
             "parts": {name: entry["size"]
                       for name, entry in record["parts"].items()},
         }
+        check_format_version(manifest["format_version"], self.path)
         self._cache: dict[str, bytes] = {}
-        legacy = manifest["format_version"] < BUNDLE_FORMAT_VERSION
-        if legacy or verify:
+        if verify:
             raw = {name: self._store.get(sha)
                    for name, sha in self._objects.items()}
-            if verify:
-                verify_parts(manifest, raw, self.path)
-            if legacy:
-                from repro.registry.migrations import apply_migrations
-
-                manifest, raw, _ = apply_migrations(manifest, raw)
-                self._objects = {}
-                self.mmap = False
+            verify_parts(manifest, raw, self.path)
             if not self.mmap:
                 self._cache = raw
         self.manifest = manifest

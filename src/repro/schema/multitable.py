@@ -406,34 +406,18 @@ class MultiTableSynthesizer:
 
         return Table({name_: columns[name_] for name_ in schema.columns})
 
-    def sample_database(self, n: int | dict | None = None, seed: int | None = None,
-                        map_fn=None) -> dict[str, Table]:
+    def sample_database(self, n: int | dict | None = None,
+                        seed: int | None = None) -> dict[str, Table]:
         """Sample a whole synthetic database, keyed like the training tables.
 
         *n* sets the root-table row counts: an integer applies to every
         root, a dict maps root names to counts, ``None`` matches the
         training sizes.  Child-table sizes follow the learned
-        children-per-parent distributions.  *map_fn* (signature of ``map``)
-        runs the tables of one depth level — mutually independent by
-        construction — and exists so the serving layer can shard levels
-        across workers; every ``map_fn`` yields the identical database.
+        children-per-parent distributions.  This is the in-memory walk of
+        :meth:`iter_sample_database`, in training-table order.
         """
-        self._require_fitted()
-        seed = self.config.seed if seed is None else seed
-        order = self._graph.topological_order()
-        table_seeds = {name: derive_seed(seed, _TABLE_STREAM, index)
-                       for index, name in enumerate(order)}
-        run = map_fn or map
-        sampled = _SampledStore()
-        for level in self._graph.depth_levels():
-            parts = list(run(
-                lambda name: (name, self._sample_table(name, table_seeds[name],
-                                                       sampled, n)),
-                level,
-            ))
-            for name, table in parts:
-                sampled.put(name, table)
-        return {name: sampled.table(name) for name in self._graph.table_names}
+        tables = dict(self.iter_sample_database(n, seed=seed))
+        return {name: tables[name] for name in self._graph.table_names}
 
     def iter_sample_database(self, n: int | dict | None = None,
                              seed: int | None = None, spool=None,

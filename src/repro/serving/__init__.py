@@ -5,14 +5,16 @@
 block-sharded full-table sampling that is bit-identical across worker
 counts, coalesced conditioned-row sampling that merges concurrent requests
 into one batched engine pass, whole-database sampling from ``multitable``
-bundles (level-sharded, identical across shard counts), and an LRU result
+bundles (identical on every executor), and an LRU result
 cache keyed by ``(bundle digest, request)`` and bounded by approximate
 result bytes.
 
-Around the service sit the scale-out pieces: a process
-:class:`~repro.serving.workers.WorkerPool` that runs the same deterministic
-work units on bundle-loaded worker processes
-(``ServingConfig(executor="process")``), the asyncio HTTP front end
+Every request runs as deterministic work units on the service's one
+executor — inline in the calling thread, or on a process
+:class:`~repro.serving.workers.WorkerPool` whose workers open the same
+:class:`~repro.serving.service.ArtifactSource`
+(``ServingConfig(executor="process")``).  Around the service sit the
+asyncio HTTP front end
 :class:`~repro.serving.server.SynthesisServer` with bounded-queue
 backpressure, and the :mod:`~repro.serving.metrics` latency histograms both
 read paths report in one schema.
@@ -24,6 +26,7 @@ service does not pull in asyncio/multiprocessing plumbing.
 from repro.serving.metrics import (LATENCY_BUCKETS_S, Gauge, LatencyHistogram,
                                    MetricsRegistry)
 from repro.serving.service import (
+    ArtifactSource,
     DeadlineExceeded,
     LruCache,
     PoolDegraded,
@@ -48,6 +51,7 @@ _LAZY = {
 }
 
 __all__ = sorted([
+    "ArtifactSource",
     "LATENCY_BUCKETS_S",
     "Gauge",
     "LatencyHistogram",

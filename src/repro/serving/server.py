@@ -551,9 +551,9 @@ class SynthesisServer:
             effective = (timeout_s if timeout_s is not None
                          else self.service.config.timeout_s)
             if effective is not None and self.service.pool is None:
-                # thread executors cannot kill a running thread: enforce the
-                # deadline at the await; the orphaned thread runs to completion
-                # but its queue slot frees and the client gets its 503 now
+                # a running thread cannot be killed: answer 503 at the await
+                # and free the queue slot now; the inline executor stops the
+                # orphaned work at its next block boundary
                 try:
                     return await asyncio.wait_for(future, effective)
                 except asyncio.TimeoutError:

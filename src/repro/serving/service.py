@@ -2,15 +2,15 @@
 
 :class:`SynthesisService` is the serve-many half of the train-once /
 serve-many split.  It wraps a :class:`~repro.pipelines.base.FittedPipeline`
-(usually loaded from a :mod:`repro.store` bundle) and serves two request
-shapes without ever retraining:
+(usually opened from an :class:`ArtifactSource` — a bundle file or a
+registry artifact) and serves three request shapes without ever retraining:
 
 * :meth:`~SynthesisService.sample_table` — a full synthetic flat table of
   ``n`` subjects.  The request is decomposed into fixed-size *blocks*, each
   sampled with a deterministically derived seed (:func:`derive_seed`), so
   the output is a pure function of ``(bundle, n, seed, block_size)`` — a
-  run sharded across ``W`` workers is bit-identical to the single-process
-  run, for any ``W``.
+  run spread across ``W`` worker processes is bit-identical to the
+  in-process run, for any ``W``.
 * :meth:`~SynthesisService.sample_rows` — ``n`` conditioned rows from the
   child synthesizer (e.g. "rows for a user with these contextual
   attributes").  Concurrent requests are coalesced: a leader thread drains
@@ -20,9 +20,14 @@ shapes without ever retraining:
   a request's output never depends on what it was batched with.
 * :meth:`~SynthesisService.sample_database` — a whole synthetic multi-table
   database from a loaded ``multitable`` bundle (see :mod:`repro.schema`).
-  Tables of one schema depth level are sampled across the worker pool; the
-  per-table seeds are ``SeedSequence``-derived inside the synthesizer, so
-  every ``shards`` setting produces the identical database.
+  The per-table seeds are ``SeedSequence``-derived inside the synthesizer,
+  so every executor returns the identical database.
+
+Every request shape is a list of *work units* (:func:`run_unit`) handed to
+the service's one executor: :class:`InlineExecutor` runs them in the
+calling thread, :class:`ProcessExecutor` on a
+:class:`~repro.serving.workers.WorkerPool` whose workers run the very same
+:func:`run_unit`.
 
 Results are memoised in an LRU cache keyed by ``(bundle digest, request)``
 — identical requests against the same artifact are served from memory.
@@ -47,7 +52,7 @@ from repro.llm.engine import _choose_indices, derive_seed
 from repro.obs import trace as obs
 from repro.pipelines.base import TABLE_BLOCK_STREAM, FittedPipeline, block_plan
 from repro.pipelines.multitable import FittedMultiTablePipeline
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.metrics import Counter, MetricsRegistry
 
 
 class ServingError(RuntimeError):
@@ -126,34 +131,34 @@ def approx_result_bytes(value) -> int:
 class ServingConfig:
     """Knobs of the serving layer.
 
-    ``shards`` is the worker count for block-sharded table sampling and
-    level-sharded database sampling (the output is identical for every
-    value — only throughput changes); ``block_size`` the number of
-    synthetic subjects per independently seeded block; ``cache_bytes`` the
-    approximate byte budget of the LRU result cache (0 disables caching);
-    ``batch_window_s`` how long a coalescing leader waits for followers
-    before draining the queue.
+    ``block_size`` is the number of synthetic subjects per independently
+    seeded block; ``cache_bytes`` the approximate byte budget of the LRU
+    result cache (0 disables caching); ``batch_window_s`` how long a
+    coalescing leader waits for followers before draining the queue.
 
-    ``executor`` picks where the sampling work runs: ``"thread"`` shards
-    across a thread pool in-process (GIL-bound — identical output, little
-    speedup), ``"process"`` across a :class:`repro.serving.workers`
-    worker-process pool of ``shards`` bundle-loaded workers (requires
-    loading the service from a bundle path).  ``mmap`` makes bundle loads
-    memory-map the n-gram count tables instead of copying them — with
+    ``executor`` picks where the work units run: ``"thread"`` inline on the
+    calling thread (the HTTP server's admission threads give concurrency
+    between requests), ``"process"`` on a :mod:`repro.serving.workers` pool
+    of ``shards`` worker processes that cold-start from the service's
+    :class:`ArtifactSource`.  ``shards > 1`` needs the process executor —
+    sharding threads under the GIL only slowed sampling down.  The output is
+    identical for every executor and shard count.  ``mmap`` makes artifact
+    loads memory-map the n-gram count tables instead of copying them — with
     process workers the tables then share one page-cache copy.
 
-    Resilience knobs (process executor; see the README's "Failure model &
-    operations"): ``timeout_s`` is the default per-request deadline
-    (``None`` = no deadline; requests can override), ``retries`` the
-    re-dispatch budget for tasks orphaned by a worker death (seed-derived
-    work units make every retry bit-identical), ``retry_backoff_s`` the
-    base of the exponential backoff between attempts.  ``breaker_threshold``
-    worker deaths within ``breaker_window_s`` trip the crash-loop breaker
-    (0 disables it); while open, ``degraded_mode`` decides whether requests
-    fall back to in-process serial sampling (``"serial"`` — identical
-    output, slower) or fail fast with :class:`PoolDegraded`
-    (``"fail_fast"``).  ``faults`` is a :mod:`repro.faults` plan shipped to
-    worker processes for chaos testing.
+    ``timeout_s`` is the default per-request deadline (``None`` = no
+    deadline; requests can override).  The process executor kills a worker
+    stuck past it; the inline executor checks it before every work unit.
+    Resilience knobs of the process executor (see the README's "Failure
+    model & operations"): ``retries`` is the re-dispatch budget for tasks
+    orphaned by a worker death (seed-derived work units make every retry
+    bit-identical), ``retry_backoff_s`` the base of the exponential backoff
+    between attempts.  ``breaker_threshold`` worker deaths within
+    ``breaker_window_s`` trip the crash-loop breaker (0 disables it); while
+    open, ``degraded_mode`` decides whether requests fall back to the inline
+    executor (``"serial"`` — identical output, slower) or fail fast with
+    :class:`PoolDegraded` (``"fail_fast"``).  ``faults`` is a
+    :mod:`repro.faults` plan shipped to worker processes for chaos testing.
 
     ``trace`` arms the process-global tracer (:mod:`repro.obs.trace`) with a
     sink spec — ``"stderr"``, ``"ring"``/``"ring:N"`` (in-memory, served at
@@ -190,6 +195,8 @@ class ServingConfig:
             raise ValueError("batch_window_s must be non-negative")
         if self.executor not in ("thread", "process"):
             raise ValueError('executor must be "thread" or "process"')
+        if self.shards > 1 and self.executor != "process":
+            raise ValueError('shards > 1 needs executor="process"')
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None for no deadline)")
         if self.retries < 0:
@@ -208,6 +215,52 @@ class ServingConfig:
             parse_plan(self.faults)  # reject typos at config time, not mid-chaos
         if self.trace is not None:
             obs.parse_sink_spec(self.trace)  # same: bad sink specs fail here
+
+
+@dataclass(frozen=True)
+class ArtifactSource:
+    """Where a served artifact lives: a bundle file, or a registry artifact.
+
+    ``digest`` is ``None`` for a bundle file at ``path``; otherwise ``path``
+    is a registry root and ``digest`` the full artifact digest inside it.
+    The source is a frozen pair of strings, so worker processes cold-start
+    from the same source as the service that spawned them.
+    """
+
+    path: str
+    digest: str | None = None
+
+    @classmethod
+    def registry(cls, root, digest: str) -> "ArtifactSource":
+        """The registry artifact *digest* (full or a unique prefix) under *root*."""
+        from repro.registry.record import Registry
+
+        return cls(str(root), Registry(root).resolve(digest))
+
+    def open(self, mmap: bool = False, verify: bool = True):
+        """Load the fitted pipeline; returns ``(fitted, content digest)``.
+
+        With *mmap* the count tables are memory-mapped (from the bundle file
+        or from the registry's object files); with *verify* every part is
+        re-hashed against the manifest first.
+        """
+        from repro.store.bundle import BundleReader, read_bundle_object
+
+        if self.digest is None:
+            reader = BundleReader(self.path, mmap=mmap, verify=verify)
+        else:
+            from repro.registry.record import Registry
+
+            reader = Registry(self.path).reader(self.digest, mmap=mmap, verify=verify)
+        if reader.kind not in ("fitted_pipeline", "multitable_pipeline"):
+            raise ServingError("{} holds a {!r}; serving needs a fitted pipeline".format(
+                self, reader.kind))
+        return read_bundle_object(reader)
+
+    def __str__(self) -> str:
+        if self.digest is None:
+            return self.path
+        return "{}#{}".format(self.path, self.digest[:12])
 
 
 @dataclass(frozen=True)
@@ -279,6 +332,185 @@ class _PendingRequest:
     error: BaseException | None = None
 
 
+def child_synthesizer(fitted):
+    """The guided child synthesizer conditioned row requests sample from."""
+    if isinstance(fitted, FittedMultiTablePipeline):
+        raise ServingError("this service wraps a multitable pipeline; use sample_database")
+    if len(fitted.synthesizers) != 1:
+        raise ServingError(
+            "conditioned row serving needs a single parent/child synthesizer; "
+            "the {!r} pipeline has {}".format(fitted.name, len(fitted.synthesizers))
+        )
+    synth = fitted.synthesizers[0]._child_synth
+    if synth.config.sampling_strategy != "guided":
+        raise ServingError("conditioned row serving requires the guided strategy")
+    return synth
+
+
+def _enhanced_conditions(fitted, request: RowRequest) -> dict:
+    """Map original-label conditions into the enhanced space the child
+    synthesizer was trained in (one-row table through the fitted mapping)."""
+    conditions = dict(request.conditions)
+    if not conditions:
+        return {}
+    one_row = Table({name: [value] for name, value in conditions.items()})
+    return fitted.enhancer.transform(one_row).row(0)
+
+
+def sample_rows_batch(fitted, requests: list[RowRequest]) -> list[Table]:
+    """Serve a batch of row requests through one engine pass per column.
+
+    This is the deterministic coalescing unit: every request occupies a
+    contiguous lane range of one merged guided session, candidate scoring
+    runs once per column across all lanes, and each request draws from its
+    own ``(seed)``-derived RNG stream — so the result per request is
+    identical whether it is served alone or merged.
+    """
+    batch_start_us = obs.monotonic_us()
+    synth = child_synthesizer(fitted)
+    engine = synth._engine
+    temperature = synth.config.sampler.temperature
+    subject = fitted.subject_column
+
+    sizes = [request.n for request in requests]
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    total = int(bounds[-1])
+    slices = [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(len(sizes))]
+    rngs = [np.random.default_rng([_ROWS_STREAM, derive_seed(request.seed)])
+            for request in requests]
+    prompts = [_enhanced_conditions(fitted, request) for request in requests]
+
+    # the session's own RNG is never drawn from — every draw below comes
+    # from the owning request's stream
+    session = engine.guided_session(total, seed=0)
+    rows: list[list[dict]] = [[{} for _ in range(n)] for n in sizes]
+    columns = synth._training_table.column_names
+    for name in columns:
+        session.extend_shared(synth._structure_token_ids[name])
+        candidates = synth._column_candidates[name]
+        token_lists = synth._candidate_token_ids[name]
+        fixed = [name in prompt for prompt in prompts]
+        scores = None
+        if len(candidates) > 1 and not all(fixed):
+            # the one batched engine pass for this column: candidate
+            # scores for every lane of every pending request at once
+            scores = engine._score_candidates(session.contexts, session.lengths,
+                                              token_lists)
+        lane_tokens: list = [None] * total
+        for index, request in enumerate(requests):
+            window = slices[index]
+            request_rows = rows[index]
+            if fixed[index]:
+                value = prompts[index][name]
+                tokens = synth._encode_value_tokens(value)
+                picks = None
+            elif len(candidates) == 1:
+                value, tokens, picks = candidates[0], token_lists[0], None
+            else:
+                picks = _choose_indices(scores[window], rngs[index], temperature)
+            for offset in range(window.stop - window.start):
+                if picks is not None:
+                    choice = int(picks[offset])
+                    value, tokens = candidates[choice], token_lists[choice]
+                request_rows[offset][name] = value
+                lane_tokens[window.start + offset] = tokens
+        session.extend_rows(lane_tokens)
+        session.extend_shared(synth._separator_ids)
+
+    tables = []
+    for request_rows in rows:
+        table = Table.from_records(request_rows, columns=columns)
+        table = fitted.enhancer.inverse_transform(table)
+        if subject in table.column_names:
+            table = table.drop(subject)
+        tables.append(table)
+    obs.emit_span("service.rows_batch", obs.current_context(), batch_start_us,
+                  obs.monotonic_us() - batch_start_us,
+                  attrs={"requests": len(requests), "lanes": total})
+    return tables
+
+
+def run_unit(fitted, method: str, payload):
+    """Run one work unit against a loaded pipeline.
+
+    The one definition of what a unit means, shared by
+    :class:`InlineExecutor` and the worker processes:
+
+    * ``"sample_block"`` — ``(start, count, seed)`` → one table block;
+    * ``"sample_rows_many"`` — a list of :class:`RowRequest` → one table
+      per request (:func:`sample_rows_batch`);
+    * ``"sample_database"`` — ``(n, seed)`` → ``{table name: table}``.
+    """
+    if method == "sample_block":
+        return fitted.sample_block(*payload)
+    if method == "sample_rows_many":
+        return sample_rows_batch(fitted, payload)
+    if method == "sample_database":
+        n, seed = payload
+        return fitted.sample_database(n, seed=seed)
+    raise ServingError("unknown work unit {!r}".format(method))
+
+
+class InlineExecutor:
+    """Runs work units one after another in the calling thread.
+
+    The deadline is checked before every unit, so a request past its
+    deadline stops at the next unit boundary with :class:`DeadlineExceeded`.
+    """
+
+    #: the worker pool behind the executor (none: work runs in-process)
+    pool = None
+
+    def __init__(self, fitted):
+        self.fitted = fitted
+        #: runs a degraded pool handed to in-process execution (always 0
+        #: unless this is a :class:`ProcessExecutor`)
+        self.fallbacks = Counter()
+
+    def run(self, method: str, payloads: list, deadline_s: float | None = None) -> list:
+        """The :func:`run_unit` result of every payload, in order."""
+        deadline = None if deadline_s is None else time.monotonic() + deadline_s
+        results = []
+        for payload in payloads:
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded(
+                    "{} missed its {}s deadline after {} of {} work units".format(
+                        method, deadline_s, len(results), len(payloads)))
+            results.append(run_unit(self.fitted, method, payload))
+        return results
+
+    def close(self) -> None:
+        pass
+
+
+class ProcessExecutor(InlineExecutor):
+    """Runs work units on a :class:`~repro.serving.workers.WorkerPool`.
+
+    While the pool's crash-loop breaker is open, ``degraded_mode="serial"``
+    runs the units in-process instead (identical output, slower) and
+    ``"fail_fast"`` lets :class:`PoolDegraded` propagate.
+    """
+
+    def __init__(self, fitted, pool, degraded_mode: str = "serial"):
+        super().__init__(fitted)
+        self.pool = pool
+        self.degraded_mode = degraded_mode
+
+    def run(self, method: str, payloads: list, deadline_s: float | None = None) -> list:
+        try:
+            return self.pool.run(method, payloads, deadline_s=deadline_s)
+        except PoolDegraded:
+            if self.degraded_mode != "serial":
+                raise
+        self.fallbacks.increment()
+        with obs.span("service.degraded_fallback", attrs={"method": method}):
+            return super().run(method, payloads, deadline_s)
+
+    def close(self) -> None:
+        self.pool.close()
+
+
 class SynthesisService:
     """Serve sampling requests from one loaded fitted pipeline.
 
@@ -297,110 +529,74 @@ class SynthesisService:
         self.config = config or ServingConfig()
         if self.config.executor == "process" and pool is None:
             raise ServingError(
-                "the process executor needs bundle-loaded workers; build the "
-                "service with SynthesisService.from_bundle")
+                "the process executor needs worker processes; build the service "
+                "with SynthesisService.from_bundle or from_registry")
         if self.config.trace is not None and not obs.enabled():
             obs.configure(self.config.trace)
-        #: cache namespace; bundle-loaded services use the content digest so
-        #: equal artifacts share keys, in-memory ones get a unique token
+        #: cache namespace; loaded services use the content digest so equal
+        #: artifacts share keys, in-memory ones get a unique token
         self.digest = digest or "unsaved-{:x}".format(id(fitted))
-        #: the process worker pool when ``executor == "process"`` (else None)
-        self.pool = pool
+        #: where every work unit runs
+        self.executor = (InlineExecutor(fitted) if pool is None
+                         else ProcessExecutor(fitted, pool, self.config.degraded_mode))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._cache = LruCache(self.config.cache_bytes)
         self._stats_lock = threading.Lock()
         self._stats = {"table_requests": 0, "row_requests": 0, "database_requests": 0,
                        "coalesced_batches": 0, "coalesced_requests_max": 0,
-                       "streamed_requests": 0, "streamed_chunks": 0, "streamed_rows": 0,
-                       "degraded_fallbacks": 0}
+                       "streamed_requests": 0, "streamed_chunks": 0, "streamed_rows": 0}
         self._batch_lock = threading.Lock()
         self._pending: list[_PendingRequest] = []
         self._draining = False
 
     @classmethod
-    def from_bundle(cls, path, config: ServingConfig | None = None) -> "SynthesisService":
-        """Load a fitted-pipeline bundle (flat or multitable) once and serve from it.
+    def from_source(cls, source: ArtifactSource,
+                    config: ServingConfig | None = None) -> "SynthesisService":
+        """Open a fitted pipeline (flat or multitable) once and serve from it.
 
         With ``config.executor == "process"`` this also cold-starts a
         :class:`~repro.serving.workers.WorkerPool` of ``config.shards``
-        worker processes from the same bundle path, each verifying the
-        content digest before the service accepts requests.
+        worker processes from the same *source*, each verifying the content
+        digest before the service accepts requests.
         """
-        from repro.store.bundle import (
-            load_fitted_pipeline,
-            load_multitable_pipeline,
-            read_manifest,
-        )
-
         config = config or ServingConfig()
         # arm tracing before the pool forks so workers inherit the decision
         if config.trace is not None and not obs.enabled():
             obs.configure(config.trace)
-        if read_manifest(path)["kind"] == "multitable_pipeline":
-            fitted, digest = load_multitable_pipeline(path, mmap=config.mmap)
-        else:
-            fitted, digest = load_fitted_pipeline(path, mmap=config.mmap)
+        fitted, digest = source.open(mmap=config.mmap)
         pool = None
         metrics = MetricsRegistry()
         if config.executor == "process":
             from repro.serving.workers import WorkerPool
 
-            pool = WorkerPool(path, workers=config.shards, mmap=config.mmap,
-                              block_size=config.block_size, expected_digest=digest,
-                              retries=config.retries,
-                              retry_backoff_s=config.retry_backoff_s,
-                              breaker_threshold=config.breaker_threshold,
-                              breaker_window_s=config.breaker_window_s,
-                              breaker_cooldown_s=config.breaker_cooldown_s,
-                              faults_spec=config.faults, metrics=metrics)
+            pool = WorkerPool(source, config, expected_digest=digest, metrics=metrics)
         return cls(fitted, config=config, digest=digest, pool=pool, metrics=metrics)
+
+    @classmethod
+    def from_bundle(cls, path, config: ServingConfig | None = None) -> "SynthesisService":
+        """Serve the fitted-pipeline bundle file at *path* (see :meth:`from_source`)."""
+        return cls.from_source(ArtifactSource(str(path)), config)
 
     @classmethod
     def from_registry(cls, root, digest, config: ServingConfig | None = None) -> "SynthesisService":
         """Serve an artifact resolved by content digest from a registry.
 
-        The registry analogue of :meth:`from_bundle`: ``digest`` (full or a
-        unique prefix) names the artifact, the parts stream straight from
-        the content-addressed object store (with ``config.mmap`` they are
-        memory-mapped from the object files, so every worker process
-        sharing the registry shares one page-cache copy per part), and the
-        worker pool cold-starts from a :class:`~repro.registry.cas.RegistrySource`
-        instead of a bundle path.
+        ``digest`` (full or a unique prefix) names the artifact; the parts
+        stream straight from the content-addressed object store (with
+        ``config.mmap`` they are memory-mapped from the object files, so
+        every worker process sharing the registry shares one page-cache copy
+        per part).
         """
-        from repro.registry.cas import RegistrySource
-        from repro.registry.record import Registry
+        return cls.from_source(ArtifactSource.registry(root, digest), config)
 
-        config = config or ServingConfig()
-        if config.trace is not None and not obs.enabled():
-            obs.configure(config.trace)
-        registry = Registry(root)
-        resolved = registry.resolve(digest)
-        record = registry.artifact(resolved)
-        if record["kind"] not in ("fitted_pipeline", "multitable_pipeline"):
-            raise ServingError(
-                "artifact {} is a {!r}; serving needs a fitted pipeline".format(
-                    resolved[:12], record["kind"]))
-        fitted, digest = registry.load(resolved, mmap=config.mmap)
-        pool = None
-        metrics = MetricsRegistry()
-        if config.executor == "process":
-            from repro.serving.workers import WorkerPool
-
-            source = RegistrySource(str(registry.root), resolved)
-            pool = WorkerPool(source, workers=config.shards, mmap=config.mmap,
-                              block_size=config.block_size, expected_digest=digest,
-                              retries=config.retries,
-                              retry_backoff_s=config.retry_backoff_s,
-                              breaker_threshold=config.breaker_threshold,
-                              breaker_window_s=config.breaker_window_s,
-                              breaker_cooldown_s=config.breaker_cooldown_s,
-                              faults_spec=config.faults, metrics=metrics)
-        return cls(fitted, config=config, digest=digest, pool=pool, metrics=metrics)
+    @property
+    def pool(self):
+        """The process worker pool when ``executor == "process"`` (else None)."""
+        return self.executor.pool
 
     def close(self) -> None:
-        """Release the process worker pool (no-op for thread executors)."""
-        if self.pool is not None:
-            self.pool.close()
+        """Release the process worker pool (no-op for the inline executor)."""
+        self.executor.close()
 
     def __enter__(self) -> "SynthesisService":
         return self
@@ -451,6 +647,7 @@ class SynthesisService:
         """
         with self._stats_lock:
             out = dict(self._stats)
+        out["degraded_fallbacks"] = self.executor.fallbacks.value
         out["cache_hits"] = self._cache.hits
         out["cache_misses"] = self._cache.misses
         out["cache_bytes_used"] = self._cache.bytes_used
@@ -487,13 +684,6 @@ class SynthesisService:
         info["reason"] = "worker pool degraded; crash-loop breaker open"
         return False, info
 
-    def _degrade_to_serial(self, error: PoolDegraded):
-        """Count a pool-degraded fallback, or re-raise in fail-fast mode."""
-        if self.config.degraded_mode != "serial":
-            raise error
-        with self._stats_lock:
-            self._stats["degraded_fallbacks"] += 1
-
     def _resolve_timeout(self, timeout_s: float | None) -> float | None:
         timeout_s = self.config.timeout_s if timeout_s is None else timeout_s
         if timeout_s is not None and timeout_s <= 0:
@@ -507,11 +697,10 @@ class SynthesisService:
                         timeout_s: float | None = None) -> dict:
         """A whole synthetic database from a loaded ``multitable`` bundle.
 
-        Tables of one schema depth level are mutually independent, so with
-        ``shards > 1`` they are sampled across a thread pool; the per-table
-        seeds are derived inside the synthesizer from the deterministic
-        topological order, so every shard count returns the identical
-        database (same guarantee as :meth:`sample_table`).
+        The database is one work unit: on the process executor one worker
+        samples it.  The per-table seeds are derived inside the synthesizer
+        from the deterministic topological order, so every executor returns
+        the identical database (same guarantee as :meth:`sample_table`).
         """
         self._require_multitable()
         seed = self.fitted.config.seed if seed is None else seed
@@ -528,20 +717,7 @@ class SynthesisService:
                 sp.set_attr("cache_hit", True)
                 return cached
             try:
-                if self.pool is not None:
-                    try:
-                        database = self.pool.sample_database(n, seed, deadline_s=timeout_s)
-                    except PoolDegraded as error:
-                        self._degrade_to_serial(error)
-                        sp.add_event("degraded_fallback")
-                        database = self.fitted.sample_database(n, seed=seed)
-                elif self.config.shards == 1:
-                    database = self.fitted.sample_database(n, seed=seed)
-                else:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    with ThreadPoolExecutor(max_workers=self.config.shards) as pool:
-                        database = self.fitted.sample_database(n, seed=seed, map_fn=pool.map)
+                database, = self.executor.run("sample_database", [(n, seed)], timeout_s)
             except DeadlineExceeded:
                 sp.add_event("deadline_exceeded")
                 raise
@@ -560,10 +736,10 @@ class SynthesisService:
         The request is partitioned into ``block_size`` blocks, each sampled
         with a seed derived from ``(seed, block index)`` — independent of
         worker count, so every ``shards`` setting produces the identical
-        table.  *timeout_s* (default :attr:`ServingConfig.timeout_s`) is
-        enforced as a per-block deadline on the process executor — a worker
-        stuck past it is killed and the request fails with
-        :class:`DeadlineExceeded`.
+        table.  *timeout_s* (default :attr:`ServingConfig.timeout_s`) is the
+        request's deadline: on the process executor a worker stuck past it
+        is killed, the inline executor stops at the next block boundary;
+        either way the request fails with :class:`DeadlineExceeded`.
         """
         self._require_flat()
         n = self.fitted._resolve_n(n)
@@ -582,23 +758,7 @@ class SynthesisService:
             blocks = self._blocks(n, seed)
             sp.set_attr("blocks", len(blocks))
             try:
-                if self.pool is not None:
-                    try:
-                        parts = self.pool.sample_blocks(blocks, deadline_s=timeout_s)
-                    except PoolDegraded as error:
-                        self._degrade_to_serial(error)
-                        sp.add_event("degraded_fallback")
-                        parts = [self.fitted.sample_block(start, count, block_seed)
-                                 for start, count, block_seed in blocks]
-                elif self.config.shards == 1 or len(blocks) == 1:
-                    parts = [self.fitted.sample_block(start, count, block_seed)
-                             for start, count, block_seed in blocks]
-                else:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    with ThreadPoolExecutor(max_workers=self.config.shards) as pool:
-                        parts = list(pool.map(
-                            lambda block: self.fitted.sample_block(*block), blocks))
+                parts = self.executor.run("sample_block", blocks, timeout_s)
             except DeadlineExceeded:
                 sp.add_event("deadline_exceeded")
                 raise
@@ -632,14 +792,7 @@ class SynthesisService:
             for block in blocks:
                 with obs.span("service.stream_block", parent=parent_ctx,
                               attrs={"start": block[0], "count": block[1]}):
-                    if self.pool is not None:
-                        try:
-                            part = self.pool.sample_blocks([block], deadline_s=timeout_s)[0]
-                        except PoolDegraded as error:
-                            self._degrade_to_serial(error)
-                            part = self.fitted.sample_block(*block)
-                    else:
-                        part = self.fitted.sample_block(*block)
+                    part, = self.executor.run("sample_block", [block], timeout_s)
                 with self._stats_lock:
                     self._stats["streamed_chunks"] += 1
                     self._stats["streamed_rows"] += part.num_rows
@@ -648,23 +801,9 @@ class SynthesisService:
 
     # -- conditioned row sampling (coalesced) ------------------------------------------
 
-    @property
-    def _child_synth(self):
-        self._require_flat()
-        if len(self.fitted.synthesizers) != 1:
-            raise ServingError(
-                "conditioned row serving needs a single parent/child synthesizer; "
-                "the {!r} pipeline has {}".format(self.fitted.name,
-                                                  len(self.fitted.synthesizers))
-            )
-        synth = self.fitted.synthesizers[0]._child_synth
-        if synth.config.sampling_strategy != "guided":
-            raise ServingError("conditioned row serving requires the guided strategy")
-        return synth
-
     def _normalize_request(self, n: int, conditions: dict | None,
                            seed: int | None) -> RowRequest:
-        synth = self._child_synth
+        synth = child_synthesizer(self.fitted)
         subject = self.fitted.subject_column
         allowed = [name for name in synth._training_table.column_names if name != subject]
         conditions = dict(conditions or {})
@@ -676,15 +815,6 @@ class SynthesisService:
         seed = self.fitted.config.seed if seed is None else seed
         pinned = tuple(sorted(conditions.items(), key=lambda item: item[0]))
         return RowRequest(n=n, conditions=pinned, seed=seed)
-
-    def _enhanced_conditions(self, request: RowRequest) -> dict:
-        """Map original-label conditions into the enhanced space the child
-        synthesizer was trained in (one-row table through the fitted mapping)."""
-        conditions = dict(request.conditions)
-        if not conditions:
-            return {}
-        one_row = Table({name: [value] for name, value in conditions.items()})
-        return self.fitted.enhancer.transform(one_row).row(0)
 
     def sample_rows(self, n: int, conditions: dict | None = None,
                     seed: int | None = None,
@@ -748,14 +878,9 @@ class SynthesisService:
 
     def sample_rows_many(self, requests: list[RowRequest],
                          timeout_s: float | None = None) -> list[Table]:
-        """Serve a batch of row requests through one engine pass per column.
-
-        This is the deterministic coalescing unit: every request occupies a
-        contiguous lane range of one merged guided session, candidate
-        scoring runs once per column across all lanes, and each request
-        draws from its own ``(seed)``-derived RNG stream — so the result
-        per request is identical whether it is served alone or merged.
-        """
+        """Serve a batch of row requests as one work unit (one merged engine
+        pass per column, see :func:`sample_rows_batch`); on the process
+        executor the whole batch goes to one worker."""
         if not requests:
             return []
         with self._stats_lock:
@@ -763,73 +888,5 @@ class SynthesisService:
             self._stats["coalesced_batches"] += 1
             self._stats["coalesced_requests_max"] = max(
                 self._stats["coalesced_requests_max"], len(requests))
-        if self.pool is not None:
-            # the whole coalesced batch goes to ONE worker so it still runs
-            # as a single merged engine pass per column
-            try:
-                return self.pool.sample_rows_many(requests, deadline_s=timeout_s)
-            except PoolDegraded as error:
-                self._degrade_to_serial(error)
-        batch_start_us = obs.monotonic_us()
-        synth = self._child_synth
-        engine = synth._engine
-        temperature = synth.config.sampler.temperature
-        subject = self.fitted.subject_column
-
-        sizes = [request.n for request in requests]
-        bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=bounds[1:])
-        total = int(bounds[-1])
-        slices = [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(len(sizes))]
-        rngs = [np.random.default_rng([_ROWS_STREAM, derive_seed(request.seed)])
-                for request in requests]
-        prompts = [self._enhanced_conditions(request) for request in requests]
-
-        # the session's own RNG is never drawn from — every draw below comes
-        # from the owning request's stream
-        session = engine.guided_session(total, seed=0)
-        rows: list[list[dict]] = [[{} for _ in range(n)] for n in sizes]
-        columns = synth._training_table.column_names
-        for name in columns:
-            session.extend_shared(synth._structure_token_ids[name])
-            candidates = synth._column_candidates[name]
-            token_lists = synth._candidate_token_ids[name]
-            fixed = [name in prompt for prompt in prompts]
-            scores = None
-            if len(candidates) > 1 and not all(fixed):
-                # the one batched engine pass for this column: candidate
-                # scores for every lane of every pending request at once
-                scores = engine._score_candidates(session.contexts, session.lengths,
-                                                  token_lists)
-            lane_tokens: list = [None] * total
-            for index, request in enumerate(requests):
-                window = slices[index]
-                request_rows = rows[index]
-                if fixed[index]:
-                    value = prompts[index][name]
-                    tokens = synth._encode_value_tokens(value)
-                    picks = None
-                elif len(candidates) == 1:
-                    value, tokens, picks = candidates[0], token_lists[0], None
-                else:
-                    picks = _choose_indices(scores[window], rngs[index], temperature)
-                for offset in range(window.stop - window.start):
-                    if picks is not None:
-                        choice = int(picks[offset])
-                        value, tokens = candidates[choice], token_lists[choice]
-                    request_rows[offset][name] = value
-                    lane_tokens[window.start + offset] = tokens
-            session.extend_rows(lane_tokens)
-            session.extend_shared(synth._separator_ids)
-
-        tables = []
-        for request_rows in rows:
-            table = Table.from_records(request_rows, columns=columns)
-            table = self.fitted.enhancer.inverse_transform(table)
-            if subject in table.column_names:
-                table = table.drop(subject)
-            tables.append(table)
-        obs.emit_span("service.rows_batch", obs.current_context(), batch_start_us,
-                      obs.monotonic_us() - batch_start_us,
-                      attrs={"requests": len(requests), "lanes": total})
+        tables, = self.executor.run("sample_rows_many", [list(requests)], timeout_s)
         return tables

@@ -1,15 +1,16 @@
 """Process worker pool for CPU-parallel sampling.
 
-Thread sharding cannot speed up the sampling hot path — it is pure
-Python/NumPy under the GIL — so this pool runs the same deterministic work
-units (:meth:`FittedPipeline.sample_block` blocks, coalesced row batches,
-whole databases) in worker *processes*.  Each worker cold-starts by
-loading the bundle from its digest-addressed path (optionally memory-mapped
-so the n-gram count tables share page cache across workers) and verifies
-the content digest before reporting ready.  Because every work unit's seed
-is ``SeedSequence``-derived from the request seed alone, results are
-bit-identical for any worker count and identical to the thread-sharded and
-serial paths.
+The sampling hot path is pure Python/NumPy under the GIL, so the process
+executor (:class:`~repro.serving.service.ProcessExecutor`) runs its work
+units — :func:`~repro.serving.service.run_unit`: table blocks, coalesced
+row batches, whole databases — in worker *processes*.  Each worker
+cold-starts by opening the service's
+:class:`~repro.serving.service.ArtifactSource` (a bundle file or a
+registry artifact, optionally memory-mapped so the n-gram count tables
+share page cache across workers) and verifies the content digest before
+reporting ready.  Because every work unit's seed is
+``SeedSequence``-derived from the request seed alone, results are
+bit-identical for any worker count and identical to the inline executor.
 
 Transport stays in the repo's pickle-free spirit: tables cross the process
 boundary as NPZ bytes through :mod:`repro.store.tablefmt`, requests as
@@ -55,9 +56,9 @@ import numpy as np
 from repro import faults
 from repro.obs import trace as obs_trace
 from repro.serving.metrics import Counter
-from repro.serving.service import (DeadlineExceeded, PoolDegraded, RowRequest,
-                                   ServingConfig, ServingError, SynthesisService,
-                                   process_peak_rss_bytes)
+from repro.serving.service import (ArtifactSource, DeadlineExceeded, PoolDegraded,
+                                   RowRequest, ServingConfig, ServingError,
+                                   process_peak_rss_bytes, run_unit)
 from repro.store.tablefmt import arrays_to_table, table_to_arrays
 
 #: Seconds a worker gets to load the bundle and report ready.
@@ -82,22 +83,23 @@ def decode_table(blob: bytes):
         return arrays_to_table({key: data[key] for key in data.files})
 
 
-def _execute(service: SynthesisService, method: str, payload):
-    """Run one task against the worker-local service; returns wire payload."""
-    if method == "sample_block":
-        start, count, seed = payload
-        return encode_table(service.fitted.sample_block(start, count, seed))
-    if method == "sample_rows_many":
-        requests = [RowRequest(n=n, conditions=conditions, seed=seed)
-                    for n, conditions, seed in payload]
-        return [encode_table(table) for table in service.sample_rows_many(requests)]
-    if method == "sample_database":
-        n, seed = payload
-        database = service.fitted.sample_database(n, seed=seed)
-        return {name: encode_table(table) for name, table in database.items()}
+def _encode(result):
+    """Wire form of a :func:`run_unit` result (table, list or dict of tables)."""
+    if isinstance(result, dict):
+        return {name: encode_table(table) for name, table in result.items()}
+    if isinstance(result, list):
+        return [encode_table(table) for table in result]
+    return encode_table(result)
+
+
+def _execute(fitted, method: str, payload):
+    """Run one task against the worker-local pipeline; returns wire payload."""
     if method == "ping":
         return None
-    raise ServingError("unknown worker method {!r}".format(method))
+    if method == "sample_rows_many":
+        payload = [RowRequest(n=n, conditions=conditions, seed=seed)
+                   for n, conditions, seed in payload]
+    return _encode(run_unit(fitted, method, payload))
 
 
 def _crash(results, code: int = 3) -> None:
@@ -115,14 +117,13 @@ def _crash(results, code: int = 3) -> None:
     os._exit(code)
 
 
-def _worker_main(worker_index: int, bundle_path: str, mmap: bool, block_size: int,
-                 tasks, results, fault_spec: str | None = None,
-                 trace_enabled: bool = False) -> None:
-    """Worker process entry point: cold-start from the bundle, then serve."""
-    if fault_spec:
+def _worker_main(worker_index: int, source: ArtifactSource, config: ServingConfig,
+                 tasks, results, trace_enabled: bool = False) -> None:
+    """Worker process entry point: cold-start from the artifact, then serve."""
+    if config.faults:
         # each worker life arms its own injector, so per-process hit counters
         # (e.g. "crash on every 25th task") restart from zero on respawn
-        faults.arm(fault_spec)
+        faults.arm(config.faults)
     # a forked worker inherits the parent's tracer; replace it with a local
     # buffer (drained into every result's meta) or disarm it outright
     if trace_enabled:
@@ -147,20 +148,11 @@ def _worker_main(worker_index: int, bundle_path: str, mmap: bool, block_size: in
         return meta
 
     try:
-        from repro.registry.cas import RegistrySource
-
-        config = ServingConfig(shards=1, block_size=block_size, cache_bytes=0,
-                               batch_window_s=0.0, mmap=mmap)
-        if isinstance(bundle_path, RegistrySource):
-            service = SynthesisService.from_registry(bundle_path.root,
-                                                     bundle_path.digest,
-                                                     config=config)
-        else:
-            service = SynthesisService.from_bundle(bundle_path, config=config)
+        fitted, digest = source.open(mmap=config.mmap)
     except BaseException as error:
         results.put(("failed", None, worker_index, repr(error), _meta()))
         return
-    results.put(("ready", None, worker_index, service.digest, _meta()))
+    results.put(("ready", None, worker_index, digest, _meta()))
     while True:
         item = tasks.get()
         if item is None:
@@ -185,7 +177,7 @@ def _worker_main(worker_index: int, bundle_path: str, mmap: bool, block_size: in
             task_span = obs_trace.NULL_SPAN
         try:
             with task_span:
-                outcome = _execute(service, method, payload)
+                outcome = _execute(fitted, method, payload)
         except BaseException as error:
             results.put(("error", task_id, worker_index, repr(error), _meta()))
         else:
@@ -234,7 +226,10 @@ class _Task:
 
 
 class WorkerPool:
-    """A fixed-size pool of bundle-loaded sampling processes.
+    """A pool of ``config.shards`` sampling processes opened from one source.
+
+    The resilience knobs (retries, backoff, breaker, faults) come from the
+    :class:`~repro.serving.service.ServingConfig`.
 
     Tasks are dispatched round-robin onto per-worker queues; a collector
     thread resolves results and a monitor thread watches process sentinels
@@ -242,48 +237,21 @@ class WorkerPool:
     retry round, not the request.
     """
 
-    def __init__(self, bundle_path, workers: int = 1, mmap: bool = False,
-                 block_size: int = 256, expected_digest: str | None = None,
-                 start_method: str | None = None, retries: int = 0,
-                 retry_backoff_s: float = 0.05, breaker_threshold: int = 0,
-                 breaker_window_s: float = 30.0, breaker_cooldown_s: float = 5.0,
-                 faults_spec: str | None = None, metrics=None,
-                 trace: bool | None = None):
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if retries < 0:
-            raise ValueError("retries must be non-negative")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be non-negative")
-        if breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be non-negative (0 disables)")
-        from repro.registry.cas import RegistrySource
-
-        # a RegistrySource travels to the workers as-is (it is a frozen
-        # picklable reference); anything else is a bundle file path
-        self.bundle_path = (bundle_path if isinstance(bundle_path, RegistrySource)
-                            else str(bundle_path))
-        self.workers = workers
-        self.mmap = bool(mmap)
-        self.block_size = block_size
-        self.retries = retries
-        self.retry_backoff_s = retry_backoff_s
-        self.breaker_threshold = breaker_threshold
-        self.breaker_window_s = breaker_window_s
-        self.breaker_cooldown_s = breaker_cooldown_s
-        self.faults_spec = faults_spec
+    def __init__(self, source: ArtifactSource, config: ServingConfig,
+                 expected_digest: str | None = None, metrics=None):
+        self.source = source
+        self.config = config
+        self.workers = config.shards
         self._metrics = metrics
         # decided once at construction: workers are told whether to buffer
         # spans when they are spawned, so flipping the global tracer later
         # does not desynchronize parent and children
-        self._trace = obs_trace.enabled() if trace is None else bool(trace)
+        self._trace = obs_trace.enabled()
         self._worker_rss: dict[int, int] = {}
         methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("fork" if "fork" in methods else None)
         self._results = self._context.Queue()
-        self._task_queues = [self._context.Queue() for _ in range(workers)]
+        self._task_queues = [self._context.Queue() for _ in range(self.workers)]
         self._lock = threading.Lock()
         self._tasks: dict[int, _Task] = {}
         self._next_task_id = 0
@@ -301,8 +269,8 @@ class WorkerPool:
         self._breaker_state = "closed"
         self._breaker_opened_at = 0.0
 
-        self._processes = [self._spawn(index) for index in range(workers)]
-        self._await_ready(range(workers), expected_digest)
+        self._processes = [self._spawn(index) for index in range(self.workers)]
+        self._await_ready(range(self.workers), expected_digest)
         self._collector = threading.Thread(target=self._collect, daemon=True,
                                            name="workerpool-collector")
         self._collector.start()
@@ -315,9 +283,8 @@ class WorkerPool:
     def _spawn(self, index: int):
         process = self._context.Process(
             target=_worker_main,
-            args=(index, self.bundle_path, self.mmap, self.block_size,
-                  self._task_queues[index], self._results, self.faults_spec,
-                  self._trace),
+            args=(index, self.source, self.config, self._task_queues[index],
+                  self._results, self._trace),
             daemon=True,
             name="repro-worker-{}".format(index),
         )
@@ -337,8 +304,8 @@ class WorkerPool:
             self._absorb_meta(worker_index, meta)
             if kind == "failed":
                 self.close()
-                raise ServingError("worker {} failed to load bundle: {}".format(
-                    worker_index, payload))
+                raise ServingError("worker {} failed to load {}: {}".format(
+                    worker_index, self.source, payload))
             if kind != "ready":
                 continue
             if expected_digest is not None and payload != expected_digest:
@@ -403,13 +370,13 @@ class WorkerPool:
             worker_rss = dict(self._worker_rss)
         return {
             "workers": self.workers,
-            "retries": self.retries,
+            "retries": self.config.retries,
             "restarts": self._restarts.value,
             "tasks_retried": self._tasks_retried.value,
             "retries_exhausted": self._retries_exhausted.value,
             "deadline_kills": self._deadline_kills.value,
             "breaker_state": state,
-            "breaker_threshold": self.breaker_threshold,
+            "breaker_threshold": self.config.breaker_threshold,
             "breaker_trips": self._breaker_trips.value,
             "dead_workers": dead,
             # per-worker peak RSS piggybacked on the result pipe; string keys
@@ -430,7 +397,7 @@ class WorkerPool:
                 raise PoolDegraded(
                     "worker pool is degraded: {} worker deaths within {:.0f}s tripped "
                     "the crash-loop breaker; retry after the {:.0f}s cooldown".format(
-                        len(self._deaths), self.breaker_window_s, self.breaker_cooldown_s))
+                        len(self._deaths), self.config.breaker_window_s, self.config.breaker_cooldown_s))
             task = _Task(self._next_task_id, method, payload, pool=self)
             self._next_task_id += 1
             # the parent assigns work at submit time, so it always knows which
@@ -549,7 +516,7 @@ class WorkerPool:
                 respawn = []
                 half_opened = False
                 if (self._breaker_state == "open"
-                        and now - self._breaker_opened_at >= self.breaker_cooldown_s):
+                        and now - self._breaker_opened_at >= self.config.breaker_cooldown_s):
                     self._breaker_state = "half_open"
                     half_opened = True
                     respawn = sorted(self._dead)
@@ -635,13 +602,13 @@ class WorkerPool:
             self._dead.add(index)
             now = time.monotonic()
             self._deaths.append(now)
-            while self._deaths and now - self._deaths[0] > self.breaker_window_s:
+            while self._deaths and now - self._deaths[0] > self.config.breaker_window_s:
                 self._deaths.popleft()
             tripped = False
             if self._breaker_state == "half_open":
                 tripped = True  # the probe respawn died: straight back open
-            elif (self.breaker_threshold > 0 and self._breaker_state == "closed"
-                    and len(self._deaths) >= self.breaker_threshold):
+            elif (self.config.breaker_threshold > 0 and self._breaker_state == "closed"
+                    and len(self._deaths) >= self.config.breaker_threshold):
                 tripped = True
             if tripped:
                 self._breaker_state = "open"
@@ -660,9 +627,9 @@ class WorkerPool:
             charged = min(orphans, key=lambda t: t.dispatch_seq, default=None)
             retry, fail = [], []
             for task in orphans:
-                if breaker_open or self.retries == 0:
+                if breaker_open or self.config.retries == 0:
                     fail.append(task)
-                elif task is charged and task.attempts > self.retries:
+                elif task is charged and task.attempts > self.config.retries:
                     fail.append(task)
                 else:
                     retry.append(task)
@@ -679,7 +646,7 @@ class WorkerPool:
                        "attempt": charged.attempts, "method": charged.method},
                 status="error")
         for task in fail:
-            if breaker_open and self.retries > 0 and task.attempts <= self.retries:
+            if breaker_open and self.config.retries > 0 and task.attempts <= self.config.retries:
                 task.error = PoolDegraded(
                     "worker {} died (exit code {}) while serving {} and the "
                     "crash-loop breaker is open".format(index, process.exitcode, task.method))
@@ -698,7 +665,7 @@ class WorkerPool:
             # one backoff sleep per death event, exponential in the charged
             # task's attempt count
             attempt = charged.attempts if charged in retry else 1
-            delay = self.retry_backoff_s * (2 ** (attempt - 1))
+            delay = self.config.retry_backoff_s * (2 ** (attempt - 1))
             if delay > 0:
                 time.sleep(min(delay, _MAX_BACKOFF_S))
         for task in retry:
@@ -736,6 +703,19 @@ class WorkerPool:
                 task.event.set()
 
     # -- typed helpers -----------------------------------------------------------------
+
+    def run(self, method: str, payloads: list, deadline_s: float | None = None) -> list:
+        """Run work units (see :func:`~repro.serving.service.run_unit`) on the
+        pool; the executor interface of :class:`~repro.serving.service.ProcessExecutor`."""
+        if method == "sample_block":
+            return self.sample_blocks(payloads, deadline_s=deadline_s)
+        if method == "sample_rows_many":
+            return [self.sample_rows_many(requests, deadline_s=deadline_s)
+                    for requests in payloads]
+        if method == "sample_database":
+            return [self.sample_database(n, seed, deadline_s=deadline_s)
+                    for n, seed in payloads]
+        raise ServingError("unknown work unit {!r}".format(method))
 
     def sample_blocks(self, blocks, deadline_s: float | None = None) -> list:
         """Run ``sample_block`` tasks for every ``(start, count, seed)`` block."""

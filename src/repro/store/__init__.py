@@ -42,7 +42,6 @@ _EXPORTS = {
     "BundleIntegrityError": "repro.store.bundle",
     "BundleReader": "repro.store.bundle",
     "BundleWriter": "repro.store.bundle",
-    "MemoryBundleReader": "repro.store.bundle",
     "archive_bytes": "repro.store.bundle",
     "bundle_writer_for": "repro.store.bundle",
     "npz_bytes": "repro.store.bundle",

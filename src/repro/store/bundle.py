@@ -65,8 +65,7 @@ from repro.store.tablefmt import (
 from repro.textenc.decoder import TextualDecoder
 from repro.textenc.encoder import EncoderConfig
 
-#: Version of the bundle layout; readers reject newer versions and migrate
-#: older ones on read through :mod:`repro.registry.migrations`.
+#: Version of the bundle layout; readers reject every other version.
 BUNDLE_FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
@@ -78,8 +77,7 @@ BUNDLE_KINDS = ("great_synthesizer", "parent_child_synthesizer", "fitted_pipelin
 #: Fixed timestamp for every zip entry (bundle archives and inner NPZ
 #: entries).  ``zipfile`` and ``numpy.savez`` stamp wall-clock time into
 #: entry headers, which would give two byte-identical parts different
-#: archive bytes — fatal for content addressing, part-level dedup and the
-#: byte-identity guarantees of format migrations.
+#: archive bytes — fatal for content addressing and part-level dedup.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -238,6 +236,13 @@ class BundleWriter:
         return manifest["digest"]
 
 
+def check_format_version(version, source) -> None:
+    """Reject a manifest whose format version this reader does not speak."""
+    if version != BUNDLE_FORMAT_VERSION:
+        raise StoreError("{} has bundle format version {}; this reader supports "
+                         "only version {}".format(source, version, BUNDLE_FORMAT_VERSION))
+
+
 class BasePartReader:
     """Shared part-decoding surface of every bundle reader.
 
@@ -310,11 +315,8 @@ class BundleReader(BasePartReader):
     a truncated copy or a flipped bit is caught at load time, not as a
     corrupt model downstream.
 
-    Bundles whose ``format_version`` predates :data:`BUNDLE_FORMAT_VERSION`
-    are migrated in memory on read through the selector-registered
-    migrations of :mod:`repro.registry.migrations` (integrity is verified
-    against the on-disk manifest *before* migrating; ``mmap`` is moot for
-    migrated bundles, which are always materialized).
+    A bundle whose ``format_version`` is not :data:`BUNDLE_FORMAT_VERSION`
+    is rejected with :class:`StoreError`.
     """
 
     def __init__(self, path, mmap: bool = False, verify: bool = True):
@@ -336,25 +338,15 @@ class BundleReader(BasePartReader):
                 except (ValueError, UnicodeDecodeError) as error:
                     raise StoreError("bundle manifest at {} is corrupt: {}".format(
                         self.path, error)) from None
-                version = manifest.get("format_version")
-                if version is None or version > BUNDLE_FORMAT_VERSION:
-                    raise StoreError(
-                        "bundle format version {} is newer than supported version {}".format(
-                            version, BUNDLE_FORMAT_VERSION))
-                legacy = version < BUNDLE_FORMAT_VERSION
+                check_format_version(manifest.get("format_version"), self.path)
                 part_names = [name for name in names if name != MANIFEST_NAME]
-                if legacy or verify or not self.mmap:
+                if verify or not self.mmap:
                     raw = {name: archive.read(name) for name in part_names}
                 else:
                     raw = {}
                 if verify:
                     verify_parts(manifest, raw, self.path)
-                if legacy:
-                    from repro.registry.migrations import apply_migrations
-
-                    manifest, raw, _ = apply_migrations(manifest, raw)
-                    self._parts = raw
-                elif self.mmap:
+                if self.mmap:
                     # keep only the byte ranges of the mappable NPZ parts;
                     # the eager bytes read for verification are dropped
                     self._parts = {}
@@ -391,29 +383,6 @@ class BundleReader(BasePartReader):
         if span is not None:
             return npymap.map_npz(self.path, *span)
         return super().arrays(name)
-
-
-class MemoryBundleReader(BasePartReader):
-    """A reader over an in-memory ``(manifest, parts)`` pair.
-
-    Used by the migration machinery (transform parts, read the result
-    without touching disk) and by the registry when loading a
-    pre-migration artifact.
-    """
-
-    def __init__(self, manifest: dict, parts: dict[str, bytes], verify: bool = False):
-        self.path = "<memory>"
-        self.mmap = False
-        if verify:
-            verify_parts(manifest, parts, self.path)
-        self.manifest = manifest
-        self._parts = dict(parts)
-
-    def _part(self, name: str) -> bytes:
-        try:
-            return self._parts[name]
-        except KeyError:
-            raise StoreError("in-memory bundle is missing part {!r}".format(name)) from None
 
 
 def read_manifest(path) -> dict:

@@ -47,6 +47,7 @@ from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
 from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
 from repro.serving import (
+    ArtifactSource,
     DeadlineExceeded,
     PoolDegraded,
     ServingConfig,
@@ -284,8 +285,8 @@ class TestRetries:
 
 class TestDeadlines:
     def test_deadline_kills_and_respawns_the_stuck_worker(self, bundle):
-        pool = WorkerPool(bundle, workers=1, block_size=4,
-                          faults_spec="task_hang@2=30")
+        pool = WorkerPool(ArtifactSource(str(bundle)), ServingConfig(
+            executor="process", retries=0, breaker_threshold=0, faults="task_hang@2=30"))
         try:
             assert pool.submit("ping", None).result(timeout=30) is None
             task = pool.submit("ping", None, deadline_s=0.4)
@@ -303,8 +304,8 @@ class TestDeadlines:
     def test_abandoned_result_does_not_leak_the_task(self, bundle):
         """A caller that gives up on ``result(timeout=...)`` must not pin
         the task (and its payload) in the pool registry forever."""
-        pool = WorkerPool(bundle, workers=1, block_size=4,
-                          faults_spec="task_hang@1=2")
+        pool = WorkerPool(ArtifactSource(str(bundle)), ServingConfig(
+            executor="process", retries=0, breaker_threshold=0, faults="task_hang@1=2"))
         try:
             task = pool.submit("ping", None)
             with pytest.raises(ServingError, match="timed out"):
@@ -365,9 +366,9 @@ class TestDeadlines:
 
 class TestBreaker:
     def test_breaker_trips_and_half_open_probe_recovers(self, bundle):
-        pool = WorkerPool(bundle, workers=1, block_size=4, retries=0,
-                          breaker_threshold=2, breaker_window_s=30.0,
-                          breaker_cooldown_s=0.3)
+        pool = WorkerPool(ArtifactSource(str(bundle)), ServingConfig(
+            executor="process", retries=0, breaker_threshold=2, breaker_window_s=30.0,
+            breaker_cooldown_s=0.3))
         try:
             for _ in range(2):
                 task = pool.submit("crash", None)
@@ -399,6 +400,38 @@ class TestBreaker:
             ready, info = service.readiness()
             assert ready  # serial fallback still serves
             assert "degraded" in info.get("reason", "")
+
+    def test_degraded_fallback_honours_the_deadline(self, bundle, monkeypatch):
+        """The in-process fallback checks the deadline before every block: a
+        multi-block request whose deadline expires during its first block
+        fails after that block instead of running unbounded."""
+        with _service(bundle, executor="process", shards=1, block_size=2,
+                      retries=0, breaker_threshold=1,
+                      breaker_cooldown_s=60.0) as service:
+            task = service.pool.submit("crash", None)
+            with pytest.raises(ServingError):
+                task.result(timeout=30)
+            assert _poll(lambda: service.pool.degraded)
+            sample_block = service.fitted.sample_block
+            calls = []
+
+            def slow_block(*block):
+                calls.append(block)
+                time.sleep(0.3)
+                return sample_block(*block)
+
+            monkeypatch.setattr(service.fitted, "sample_block", slow_block)
+            with pytest.raises(DeadlineExceeded):
+                service.sample_table(8, seed=5, timeout_s=0.1)
+            assert len(calls) == 1
+            with _running_server(service) as (server, _):
+                status, body = request_json(server.host, server.port,
+                                            "POST", "/sample_table",
+                                            {"n": 8, "seed": 5, "timeout_s": 0.1})
+            assert status == 503
+            assert body["type"] == "deadline"
+            assert len(calls) == 2
+            assert service.stats()["degraded_fallbacks"] == 2
 
     def test_fail_fast_mode_raises_pool_degraded(self, bundle):
         with _service(bundle, executor="process", shards=1, block_size=4,

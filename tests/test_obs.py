@@ -40,6 +40,7 @@ from repro.obs.view import summary_rows, tree_rows
 from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
 from repro.serving import (
+    ArtifactSource,
     LatencyHistogram,
     MetricsRegistry,
     ServingConfig,
@@ -344,9 +345,9 @@ class TestProcessPoolTracing:
     def test_retry_span_count_equals_retried_counter(self, bundle):
         sink = obs.configure("ring:65536")
         metrics = MetricsRegistry()
-        pool = WorkerPool(bundle, workers=2, block_size=1, retries=5,
-                          retry_backoff_s=0.01, breaker_threshold=0,
-                          faults_spec="worker_crash%7", metrics=metrics)
+        pool = WorkerPool(ArtifactSource(str(bundle)), ServingConfig(
+            executor="process", shards=2, retries=5, retry_backoff_s=0.01,
+            breaker_threshold=0, faults="worker_crash%7"), metrics=metrics)
         try:
             with obs.span("test.batch"):
                 pool.sample_blocks([(index, 1, 5000 + index)
@@ -365,8 +366,8 @@ class TestProcessPoolTracing:
 
     def test_deadline_trace_ends_with_deadline_event(self, bundle):
         sink = obs.configure("ring:4096")
-        pool = WorkerPool(bundle, workers=1, block_size=4,
-                          faults_spec="task_hang@2=30")
+        pool = WorkerPool(ArtifactSource(str(bundle)), ServingConfig(
+            executor="process", retries=0, breaker_threshold=0, faults="task_hang@2=30"))
         try:
             with obs.span("test.deadline"):
                 pool.sample_blocks([(0, 2, 77)])  # warm-up, fault fires next

@@ -1,9 +1,8 @@
-"""Tests for the artifact registry: CAS, provenance runs, dedup, migrations."""
+"""Tests for the artifact registry: CAS, provenance runs, dedup, format checks."""
 
 import json
 import os
 import pickle
-import zipfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,21 +21,16 @@ from repro.pipelines.greater import GReaTERPipeline
 from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
 from repro.registry import (
     ContentStore,
-    Migration,
     Registry,
-    RegistrySource,
     blob_digest,
-    downgrade_bundle_to_v0,
     fingerprint_directory,
     fingerprint_table,
     fit_spec,
-    migrate_bundle,
-    register_migration,
     spec_digest,
 )
-from repro.registry.migrations import _MIGRATIONS
+from repro.serving import ArtifactSource
 from repro.store import StoreError
-from repro.store.bundle import BundleIntegrityError, load_bundle
+from repro.store.bundle import BundleIntegrityError
 from repro.store.bundle import save_great_synthesizer
 
 
@@ -370,101 +364,23 @@ class TestFitOrLoad:
 
 
 # ---------------------------------------------------------------------------
-# migrations
+# migrations (none exist: every format version gap is rejected)
 # ---------------------------------------------------------------------------
 
 class TestMigrations:
-    @pytest.fixture(scope="class")
-    def bundle(self, tmp_path_factory):
-        table = Table({
-            "name": ["grace", "yin", "anson", "maya"] * 6,
-            "lunch": [1, 2, 1, 3] * 6,
-            "score": [0.5, 1.5, 0.5, 2.5] * 6,
-        })
+    def test_version_gap_without_migration_rejected(self, tmp_path):
+        table = Table({"name": ["grace", "yin", "anson", "maya"] * 6,
+                       "lunch": [1, 2, 1, 3] * 6})
         synth = GReaTSynthesizer(_great_config("compiled")).fit(table)
-        path = tmp_path_factory.mktemp("migrate") / "bundle"
-        save_great_synthesizer(synth, path)
-        return path, synth
-
-    def test_downgraded_bundle_loads_transparently(self, bundle, tmp_path):
-        path, synth = bundle
-        old = tmp_path / "v0"
-        downgrade_bundle_to_v0(path, old)
-        with zipfile.ZipFile(old) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-        assert manifest["format_version"] == 0
-        assert any(name.endswith("vocabulary.json") for name in manifest["parts"])
-        loaded = load_bundle(old)
-        assert fingerprint_table(loaded.sample(8, seed=5)) == \
-            fingerprint_table(synth.sample(8, seed=5))
-
-    def test_migrate_round_trip_is_byte_identical(self, bundle, tmp_path):
-        path, _ = bundle
-        old = tmp_path / "v0"
-        downgrade_bundle_to_v0(path, old)
-        result = migrate_bundle(old, out=tmp_path / "v1")
-        assert result["from_version"] == 0
-        assert result["to_version"] == 1
-        assert result["changed"]
-        assert (tmp_path / "v1").read_bytes() == path.read_bytes()
-
-    def test_migrate_in_place_preserves_digest(self, bundle, tmp_path):
-        path, _ = bundle
-        old = tmp_path / "v0"
-        downgrade_bundle_to_v0(path, old)
-        result = migrate_bundle(old)
-        assert result["path"] == str(old)
-        assert old.read_bytes() == path.read_bytes()
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-        assert result["digest"] == manifest["digest"]
-
-    def test_current_bundle_is_a_noop(self, bundle):
-        path, _ = bundle
-        before = path.read_bytes()
-        result = migrate_bundle(path)
-        assert not result["changed"]
-        assert path.read_bytes() == before
-
-    def test_registry_migrates_legacy_artifacts_on_read(self, bundle, tmp_path):
-        path, synth = bundle
-        old = tmp_path / "v0"
-        downgrade_bundle_to_v0(path, old)
         registry = Registry(tmp_path / "reg")
-        # store the v0 parts as a legacy artifact record
-        with zipfile.ZipFile(old) as archive:
-            parts = {name: archive.read(name) for name in archive.namelist()
-                     if name != "manifest.json"}
-            manifest = json.loads(archive.read("manifest.json"))
-        entries = {}
-        for name, blob in parts.items():
-            digest, _ = registry.store.put(blob)
-            entries[name] = {"object": digest, "size": len(blob)}
-        record = {"format_version": 0, "kind": manifest["kind"],
-                  "digest": manifest["digest"], "compress": manifest["compress"],
-                  "meta": manifest["meta"], "parts": entries}
-        registry._artifacts.mkdir(parents=True, exist_ok=True)
-        (registry._artifacts / (manifest["digest"] + ".json")).write_text(
-            json.dumps(record))
-        loaded = registry.load(manifest["digest"])
-        assert fingerprint_table(loaded.sample(8, seed=5)) == \
-            fingerprint_table(synth.sample(8, seed=5))
-
-    def test_version_gap_without_migration_rejected(self, bundle, tmp_path):
-        from repro.registry.migrations import apply_migrations
-
-        manifest = {"format_version": -1, "kind": "martian", "compress": False,
-                    "meta": {}, "parts": {}, "digest": ""}
-        with pytest.raises(StoreError):
-            apply_migrations(manifest, {})
-
-    def test_non_increasing_migration_rejected(self):
-        with pytest.raises(StoreError):
-            register_migration(Migration(
-                name="backwards", from_version=1, to_version=1,
-                selector=lambda manifest: True,
-                apply=lambda manifest, parts: (manifest, parts)))
-        assert all(m.name != "backwards" for m in _MIGRATIONS)
+        digest = registry.save(synth).digest
+        path = registry._artifacts / (digest + ".json")
+        record = json.loads(path.read_text())
+        for version in (0, 2):
+            record["format_version"] = version
+            path.write_text(json.dumps(record))
+            with pytest.raises(StoreError, match="format version"):
+                registry.load(digest)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +415,7 @@ class TestFingerprints:
 
 class TestRegistrySource:
     def test_pickles_and_prints(self):
-        source = RegistrySource(root="/tmp/reg", digest="a" * 64)
+        source = ArtifactSource(path="/tmp/reg", digest="a" * 64)
         clone = pickle.loads(pickle.dumps(source))
         assert clone == source
         assert str(source) == "/tmp/reg#" + "a" * 12

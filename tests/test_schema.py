@@ -311,14 +311,6 @@ class TestMultiTableSynthesizer:
         assert all(first[name] == again[name] for name in first)
         assert any(first[name] != other[name] for name in first)
 
-    def test_level_parallel_equals_serial(self, fitted_synth):
-        from concurrent.futures import ThreadPoolExecutor
-
-        serial = fitted_synth.sample_database(seed=6)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = fitted_synth.sample_database(seed=6, map_fn=pool.map)
-        assert all(serial[name] == parallel[name] for name in serial)
-
     def test_root_counts_accept_int_and_dict(self, fitted_synth):
         database = fitted_synth.sample_database(5, seed=1)
         assert database["customers"].num_rows == 5
@@ -428,10 +420,10 @@ class TestServingDatabases:
         reference = SynthesisService.from_bundle(
             multitable_bundle, ServingConfig(shards=1, cache_bytes=0)
         ).sample_database(seed=3)
-        for shards in (2, 4):
-            service = SynthesisService.from_bundle(
-                multitable_bundle, ServingConfig(shards=shards, cache_bytes=0))
-            database = service.sample_database(seed=3)
+        for shards in (1, 2):
+            with SynthesisService.from_bundle(multitable_bundle, ServingConfig(
+                    shards=shards, cache_bytes=0, executor="process")) as service:
+                database = service.sample_database(seed=3)
             assert all(database[name] == reference[name] for name in reference)
 
     def test_database_requests_cache_and_count(self, multitable_bundle):
@@ -529,13 +521,6 @@ class TestCliSchemaCommands:
 
         with pytest.raises(SystemExit):
             main(["schema", "infer"])
-
-    def test_serve_bench_rejects_multitable_bundle(self, multitable_bundle):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="multitable bundle"):
-            main(["serve-bench", "--bundle", str(multitable_bundle),
-                  "--requests", "1", "--shards", "1"])
 
     def test_derive_seed_shared_between_layers(self):
         from repro.llm.engine import derive_seed as engine_derive

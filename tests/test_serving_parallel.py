@@ -2,7 +2,7 @@
 
 The properties under test mirror the serving guarantees:
 
-* process-pool, thread-pool and serial execution are bit-identical on both
+* process-pool and inline execution are bit-identical on both
   engines (the per-block seeds make output independent of where it runs);
 * the bounded request queue rejects requests past the bound with 429 and
   loses none under it;
@@ -28,6 +28,7 @@ from repro.enhancement.enhancer import EnhancerConfig
 from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
 from repro.serving import (
+    ArtifactSource,
     LatencyHistogram,
     MetricsRegistry,
     ServingConfig,
@@ -114,15 +115,16 @@ def _running_server(service, max_queue=8):
 
 class TestProcessPoolIdentity:
     def test_process_thread_serial_bit_identical(self, engine_bundle):
-        """The tentpole guarantee on both engines: a table sampled serially,
-        thread-sharded and process-sharded is the same table, bit for bit."""
+        """The tentpole guarantee on both engines: a table sampled inline on
+        the request thread and on 1 or 2 worker processes is the same table,
+        bit for bit."""
         engine, path = engine_bundle
         with _service(path, shards=1, block_size=4) as serial:
             reference = serial.sample_table(11, seed=9)
-        with _service(path, shards=3, block_size=4) as threaded:
-            assert threaded.sample_table(11, seed=9) == reference
-        with _service(path, shards=2, block_size=4, executor="process") as pooled:
-            assert pooled.sample_table(11, seed=9) == reference
+        for workers in (1, 2):
+            with _service(path, shards=workers, block_size=4,
+                          executor="process") as pooled:
+                assert pooled.sample_table(11, seed=9) == reference
 
     def test_worker_counts_are_bit_identical(self, bundle):
         tables = []
@@ -152,7 +154,8 @@ class TestProcessPoolIdentity:
 
     def test_digest_mismatch_rejected(self, bundle):
         with pytest.raises(ServingError):
-            WorkerPool(bundle, workers=1, expected_digest="0" * 64)
+            WorkerPool(ArtifactSource(str(bundle)), ServingConfig(executor="process"),
+                       expected_digest="0" * 64)
 
     def test_table_round_trips_through_wire_format(self, bundle):
         with _service(bundle, shards=1) as service:

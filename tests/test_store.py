@@ -371,14 +371,16 @@ class TestGreatBundle:
         save_great_synthesizer(synth, tmp_path / "bundle")
         with zipfile.ZipFile(tmp_path / "bundle") as archive:
             parts = {name: archive.read(name) for name in archive.namelist()}
-        manifest = json.loads(parts["manifest.json"])
-        manifest["format_version"] = 99
-        parts["manifest.json"] = json.dumps(manifest).encode()
-        with zipfile.ZipFile(tmp_path / "bundle", "w") as archive:
-            for name, blob in parts.items():
-                archive.writestr(name, blob)
-        with pytest.raises(StoreError):
-            load_great_synthesizer(tmp_path / "bundle")
+        # readers speak exactly one version: newer and older ones both fail
+        for version in (99, 0):
+            manifest = json.loads(parts["manifest.json"])
+            manifest["format_version"] = version
+            with zipfile.ZipFile(tmp_path / "bundle", "w") as archive:
+                for name, blob in parts.items():
+                    archive.writestr(name, json.dumps(manifest).encode()
+                                     if name == "manifest.json" else blob)
+            with pytest.raises(StoreError):
+                load_great_synthesizer(tmp_path / "bundle")
 
     def test_non_bundle_file_rejected(self, tmp_path):
         (tmp_path / "junk").write_bytes(b"not a zip archive")

@@ -12,7 +12,7 @@ The properties under test mirror the streaming guarantees:
   via memory-mapped reads;
 * ``iter_sample_database`` equals ``sample_database`` with and without a
   spool directory, and whole databases are identical across 1/2/4 serving
-  shards;
+  worker processes;
 * streaming holds O(chunk) memory — the tracemalloc peak of the chunked
   walk stays well below the in-memory path's peak;
 * the HTTP ``stream=true`` path returns the same rows as the buffered path
@@ -341,8 +341,8 @@ class TestDatabaseStreaming:
     def test_database_identical_across_serving_shards(self, multitable_fitted,
                                                       multitable_bundle, shards):
         reference = multitable_fitted.sample_database(seed=8)
-        service = SynthesisService.from_bundle(
-            multitable_bundle, ServingConfig(shards=shards, cache_bytes=0))
+        service = SynthesisService.from_bundle(multitable_bundle, ServingConfig(
+            shards=shards, cache_bytes=0, executor="process"))
         try:
             assert service.sample_database(seed=8) == reference
         finally:
