@@ -49,7 +49,7 @@ Usage::
     PYTHONPATH=src python -m benchmarks.perf.bench_store --smoke   # CI-sized
 
 The report lands in ``BENCH_store.json``; the process exits non-zero on any
-load/sample, coalescing or worker mismatch, on a chaos-run failure or digest
+load/sample or worker mismatch, on a chaos-run failure or digest
 mismatch, and on a sub-100% retries-on storm success rate (CI runs
 ``--smoke`` and fails on mismatch, and on a missed scaling margin when
 enough cores are present).
@@ -182,25 +182,6 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
     report["engines"] = engines
 
     bundle_path = workdir / "bundle_compiled"
-
-    # -- coalesced conditioned-row serving ----------------------------------------------
-    service = SynthesisService.from_bundle(bundle_path, ServingConfig(cache_bytes=0))
-    row_requests = [service._normalize_request(max(4, n_sample // 8), None, seed + index)
-                    for index in range(requests)]
-    start = time.perf_counter()
-    merged = service.sample_rows_many(row_requests)
-    merged_s = time.perf_counter() - start
-    start = time.perf_counter()
-    solo = [service.sample_rows_many([request])[0] for request in row_requests]
-    solo_s = time.perf_counter() - start
-    report["coalescing"] = {
-        "requests": len(row_requests),
-        "rows_per_request": row_requests[0].n,
-        "merged_s": round(merged_s, 6),
-        "solo_s": round(solo_s, 6),
-        "coalescing_speedup": round(solo_s / merged_s, 2) if merged_s > 0 else float("inf"),
-        "identical_output": all(a == b for a, b in zip(merged, solo)),
-    }
 
     # -- process-worker scaling ---------------------------------------------------------
     # Each request block-shards across the pool's worker processes; workers
@@ -507,7 +488,6 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
 
     report["all_identical"] = (
         all(entry["identical_output"] for entry in engines.values())
-        and report["coalescing"]["identical_output"]
         and report["process_serving"]["identical_across_workers"]
         and report["streaming"]["identical_output"]
     )
@@ -560,10 +540,6 @@ def main(argv: list[str] | None = None) -> int:
               "cold-start speedup {:>8.2f}x  identical={}".format(
                   engine, entry["save_s"], entry["load_s"], entry["retrain_s"],
                   entry["cold_start_speedup"], entry["identical_output"]))
-    coalescing = report["coalescing"]
-    print("coalescing {} requests: merged {:.3f}s vs solo {:.3f}s ({}x)  identical={}".format(
-        coalescing["requests"], coalescing["merged_s"], coalescing["solo_s"],
-        coalescing["coalescing_speedup"], coalescing["identical_output"]))
     process = report["process_serving"]
     for entry in process["workers"]:
         print("process workers={:d}  startup {:>7.3f}s  {:>8.3f}s  {:>8.1f} rows/s  "

@@ -47,8 +47,9 @@ class Counter:
 
     Bare ``int += 1`` from multiple threads happens to survive under the
     GIL today, but the resilience counters (restarts, retries, deadline
-    kills, breaker trips) are incremented from collector, monitor, and
-    request threads at once — this makes the increment explicit and safe.
+    kills, breaker trips) are incremented from the worker pool's
+    supervisor thread and request threads at once — this makes the
+    increment explicit and safe.
     """
 
     __slots__ = ("_lock", "_value")

@@ -14,27 +14,33 @@ bit-identical for any worker count and identical to the inline executor.
 
 Transport stays in the repo's pickle-free spirit: tables cross the process
 boundary as NPZ bytes through :mod:`repro.store.tablefmt`, requests as
-plain tuples of primitives.
+plain tuples of primitives.  Every worker life owns one duplex pipe and
+runs at most one task at a time: the parent keeps a single FIFO of pending
+tasks and sends the next one only to an idle worker.  One supervisor
+thread in the parent waits on every result pipe and process sentinel at
+once; it resolves results, dispatches, and applies the failure policy.  A
+worker that dies — scripted crash or external ``kill -9`` — can only lose
+the frame on its own pipe.
 
 Failure model (see also the README's "Failure model & operations"):
 
-* **Retries.** A dead worker's orphaned tasks are re-dispatched to live
-  workers with a bounded budget (``retries`` beyond the first attempt) and
-  exponential backoff.  Only the task the worker was actually serving (the
-  oldest-dispatched orphan) is charged an attempt; tasks still waiting in
-  the dead worker's queue re-dispatch without touching their budget — deep
-  queues do not burn retries on work that never started.  Seeds travel in
+* **Retries.** A dead worker's one in-flight task goes back to the front
+  of the FIFO with a bounded budget (``retries`` beyond the first attempt)
+  and an exponential not-before backoff.  Tasks still pending never left
+  the parent, so a death never touches their budget.  Seeds travel in
   the payload, so a retried result is bit-identical to the single-shot path
   no matter which worker runs it.  With the budget exhausted (or
   ``retries=0``) a task fails with a :class:`ServingError` naming the
   worker and exit code.
 * **Deadlines.** ``submit(..., deadline_s=...)`` arms a watchdog: a task
   still unresolved past its deadline fails with
-  :class:`DeadlineExceeded` and the worker holding it is killed and
-  respawned, so one wedged request cannot pin a worker forever.
+  :class:`DeadlineExceeded`.  Only when a worker is running it is that
+  worker killed and respawned, so one wedged request cannot pin a worker
+  forever and an overdue pending task costs no worker at all.
 * **Crash-loop breaker.** ``breaker_threshold`` worker deaths inside
   ``breaker_window_s`` trip the pool open: respawning stops, ``submit``
-  raises :class:`PoolDegraded` (callers fall back or fail fast), and after
+  raises :class:`PoolDegraded` (callers fall back or fail fast), pending
+  tasks that no live worker is left to take fail the same way, and after
   ``breaker_cooldown_s`` the pool half-opens — dead workers respawn as a
   probe; a successful cold start or task result closes the breaker, a
   further death re-opens it.
@@ -49,7 +55,6 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
-from queue import Empty
 
 import numpy as np
 
@@ -64,8 +69,10 @@ from repro.store.tablefmt import arrays_to_table, table_to_arrays
 #: Seconds a worker gets to load the bundle and report ready.
 _READY_TIMEOUT_S = 60.0
 _JOIN_TIMEOUT_S = 5.0
-#: Upper bound on one retry backoff sleep, whatever the budget says.
+#: Upper bound on one retry backoff, whatever the budget says.
 _MAX_BACKOFF_S = 2.0
+#: Longest the supervisor sleeps between deadline and breaker checks.
+_TICK_S = 0.2
 #: How long a ``task_hang`` fault sleeps when the plan gives no argument.
 _HANG_DEFAULT_S = 3600.0
 
@@ -102,24 +109,10 @@ def _execute(fitted, method: str, payload):
     return _encode(run_unit(fitted, method, payload))
 
 
-def _crash(results, code: int = 3) -> None:
-    """Die abruptly, but flush this process's result-channel feeder first.
-
-    ``os._exit`` alone can kill the queue's feeder thread mid-write, tearing
-    a frame in the *shared* results pipe (or dying while holding its write
-    lock) — which wedges the collector for every other worker.  A scripted
-    crash simulates a dead worker, not corrupted IPC, so flush then die."""
-    try:
-        results.close()
-        results.join_thread()
-    except Exception:
-        pass
-    os._exit(code)
-
-
 def _worker_main(worker_index: int, source: ArtifactSource, config: ServingConfig,
-                 tasks, results, trace_enabled: bool = False) -> None:
-    """Worker process entry point: cold-start from the artifact, then serve."""
+                 conn, trace_enabled: bool = False) -> None:
+    """Worker process entry point: cold-start from the artifact, then serve
+    one task at a time over *conn* until the parent sends ``None``."""
     if config.faults:
         # each worker life arms its own injector, so per-process hit counters
         # (e.g. "crash on every 25th task") restart from zero on respawn
@@ -148,40 +141,41 @@ def _worker_main(worker_index: int, source: ArtifactSource, config: ServingConfi
         return meta
 
     try:
-        fitted, digest = source.open(mmap=config.mmap)
-    except BaseException as error:
-        results.put(("failed", None, worker_index, repr(error), _meta()))
-        return
-    results.put(("ready", None, worker_index, digest, _meta()))
-    while True:
-        item = tasks.get()
-        if item is None:
-            return
-        task_id, method, payload, trace_ctx = item
-        received_us = obs_trace.monotonic_us()
-        if method == "crash":  # test hook: die instead of serving, like an OOM kill
-            _crash(results)
-        if faults.check("worker_crash") is not None:
-            _crash(results)
-        hang = faults.check("task_hang")
-        if hang is not None:
-            time.sleep(hang.arg if hang.arg is not None else _HANG_DEFAULT_S)
-        if trace_ctx is not None and span_buffer is not None:
-            parent = (trace_ctx[0], trace_ctx[1])
-            obs_trace.emit_span("pool.queue_wait", parent, trace_ctx[2],
-                                received_us - trace_ctx[2],
-                                attrs={"worker": worker_index})
-            task_span = obs_trace.span("worker.task", parent=parent,
-                                       attrs={"worker": worker_index, "method": method})
-        else:
-            task_span = obs_trace.NULL_SPAN
         try:
-            with task_span:
-                outcome = _execute(fitted, method, payload)
+            fitted, digest = source.open(mmap=config.mmap)
         except BaseException as error:
-            results.put(("error", task_id, worker_index, repr(error), _meta()))
-        else:
-            results.put(("done", task_id, worker_index, outcome, _meta()))
+            conn.send(("failed", None, repr(error), _meta()))
+            return
+        conn.send(("ready", None, digest, _meta()))
+        while True:
+            item = conn.recv()
+            if item is None:
+                return
+            task_id, method, payload, trace_ctx = item
+            received_us = obs_trace.monotonic_us()
+            # "crash" is a test hook: die instead of serving, like an OOM kill
+            if method == "crash" or faults.check("worker_crash") is not None:
+                os._exit(3)
+            hang = faults.check("task_hang")
+            if hang is not None:
+                time.sleep(hang.arg if hang.arg is not None else _HANG_DEFAULT_S)
+            if trace_ctx is not None and span_buffer is not None:
+                parent = (trace_ctx[0], trace_ctx[1])
+                obs_trace.emit_span("pool.queue_wait", parent, trace_ctx[2],
+                                    received_us - trace_ctx[2],
+                                    attrs={"worker": worker_index})
+                task_span = obs_trace.span("worker.task", parent=parent,
+                                           attrs={"worker": worker_index, "method": method})
+            else:
+                task_span = obs_trace.NULL_SPAN
+            try:
+                with task_span:
+                    frame = ("done", task_id, _execute(fitted, method, payload))
+            except BaseException as error:
+                frame = ("error", task_id, repr(error))
+            conn.send((*frame, _meta()))
+    except (EOFError, OSError):
+        return  # the parent closed its end of the pipe: the pool is shutting down
 
 
 class _Task:
@@ -189,12 +183,11 @@ class _Task:
 
     The payload is kept so the pool can re-dispatch the task verbatim if
     its worker dies; ``deadline`` is an absolute ``time.monotonic`` instant
-    the watchdog enforces.
+    the supervisor enforces, ``not_before`` the end of a retry's backoff.
     """
 
     __slots__ = ("task_id", "method", "payload", "event", "value", "error",
-                 "worker_index", "attempts", "deadline", "dispatch_seq",
-                 "trace_ctx", "_pool")
+                 "attempts", "deadline", "not_before", "trace_ctx", "_pool")
 
     def __init__(self, task_id: int, method: str, payload=None, pool=None):
         self.task_id = task_id
@@ -203,10 +196,9 @@ class _Task:
         self.event = threading.Event()
         self.value = None
         self.error: Exception | None = None
-        self.worker_index: int | None = None
         self.attempts = 1
         self.deadline: float | None = None
-        self.dispatch_seq = 0
+        self.not_before = 0.0
         #: ``(trace_id, span_id, submitted_us)`` shipped with the task frame
         #: so the worker can stitch its spans under the submitting request.
         self.trace_ctx: tuple | None = None
@@ -225,16 +217,32 @@ class _Task:
         return self.value
 
 
+class _Worker:
+    """One worker life: its process, the parent's end of its pipe, and the
+    one task it runs (``None`` while idle).  ``ready`` turns on with the
+    worker's cold-start report and off once the pool gives up on it."""
+
+    __slots__ = ("index", "process", "conn", "ready", "task")
+
+    def __init__(self, index: int, process, conn):
+        self.index = index
+        self.process = process
+        self.conn = conn
+        self.ready = False
+        self.task: _Task | None = None
+
+
 class WorkerPool:
     """A pool of ``config.shards`` sampling processes opened from one source.
 
     The resilience knobs (retries, backoff, breaker, faults) come from the
     :class:`~repro.serving.service.ServingConfig`.
 
-    Tasks are dispatched round-robin onto per-worker queues; a collector
-    thread resolves results and a monitor thread watches process sentinels
-    and task deadlines so a crashed or wedged worker costs at most one
-    retry round, not the request.
+    Submitted tasks wait in one FIFO in the parent and go out one at a time
+    to idle workers over per-worker pipes.  A single supervisor thread
+    waits on those pipes and the process sentinels together, so a crashed
+    or wedged worker costs at most its one in-flight task a retry, not the
+    request.
     """
 
     def __init__(self, source: ArtifactSource, config: ServingConfig,
@@ -250,13 +258,10 @@ class WorkerPool:
         self._worker_rss: dict[int, int] = {}
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self._results = self._context.Queue()
-        self._task_queues = [self._context.Queue() for _ in range(self.workers)]
         self._lock = threading.Lock()
-        self._tasks: dict[int, _Task] = {}
+        self._tasks: dict[int, _Task] = {}     # every unresolved task
+        self._pending: deque = deque()         # the unresolved ones no worker holds
         self._next_task_id = 0
-        self._next_worker = 0
-        self._dispatch_seq = 0
         self._closing = False
         self.digest: str | None = None
         self._restarts = Counter()
@@ -265,80 +270,88 @@ class WorkerPool:
         self._deadline_kills = Counter()
         self._breaker_trips = Counter()
         self._deaths: deque = deque()          # monotonic timestamps in the window
-        self._dead: set[int] = set()           # indices awaiting respawn (breaker open)
         self._breaker_state = "closed"
         self._breaker_opened_at = 0.0
+        self._supervisor: threading.Thread | None = None
 
-        self._processes = [self._spawn(index) for index in range(self.workers)]
-        self._await_ready(range(self.workers), expected_digest)
-        self._collector = threading.Thread(target=self._collect, daemon=True,
-                                           name="workerpool-collector")
-        self._collector.start()
-        self._monitor = threading.Thread(target=self._watch, daemon=True,
-                                         name="workerpool-monitor")
-        self._monitor.start()
+        #: one slot per worker index; ``None`` while the breaker holds it dead
+        self._workers: list[_Worker | None] = [self._spawn(index)
+                                               for index in range(self.workers)]
+        self._await_ready(expected_digest)
+        self._supervisor = threading.Thread(target=self._supervise, daemon=True,
+                                            name="workerpool-supervisor")
+        self._supervisor.start()
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _spawn(self, index: int):
+    def _spawn(self, index: int) -> _Worker:
+        conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(index, self.source, self.config, self._task_queues[index],
-                  self._results, self._trace),
+            args=(index, self.source, self.config, child_conn, self._trace),
             daemon=True,
             name="repro-worker-{}".format(index),
         )
         process.start()
-        return process
+        # the worker now holds the only other end, so its death reads as EOF
+        child_conn.close()
+        return _Worker(index, process, conn)
 
-    def _await_ready(self, indices, expected_digest: str | None) -> None:
-        """Block until every listed worker reports a verified cold start."""
-        pending = set(indices)
-        while pending:
-            try:
-                kind, _, worker_index, payload, meta = self._results.get(
-                    timeout=_READY_TIMEOUT_S)
-            except Exception:
+    def _await_ready(self, expected_digest: str | None) -> None:
+        """Block until every worker reports a verified cold start."""
+        waiting = {worker.conn: worker for worker in self._workers}
+        give_up = time.monotonic() + _READY_TIMEOUT_S
+        while waiting:
+            ready = connection_wait(list(waiting),
+                                    timeout=max(0.0, give_up - time.monotonic()))
+            problem = None if ready else "workers {} never reported ready".format(
+                sorted(worker.index for worker in waiting.values()))
+            for conn in ready:
+                worker = waiting.pop(conn)
+                try:
+                    kind, _, payload, meta = conn.recv()
+                except (EOFError, OSError):
+                    kind, payload, meta = "failed", "the worker exited", None
+                self._absorb_meta(worker.index, meta)
+                if kind == "failed":
+                    problem = "worker {} failed to load {}: {}".format(
+                        worker.index, self.source, payload)
+                elif expected_digest is not None and payload != expected_digest:
+                    problem = "worker {} loaded digest {} but the pool serves {}".format(
+                        worker.index, payload, expected_digest)
+                else:
+                    self.digest = self.digest or payload
+                    worker.ready = True
+            if problem is not None:
                 self.close()
-                raise ServingError("workers {} never reported ready".format(sorted(pending)))
-            self._absorb_meta(worker_index, meta)
-            if kind == "failed":
-                self.close()
-                raise ServingError("worker {} failed to load {}: {}".format(
-                    worker_index, self.source, payload))
-            if kind != "ready":
-                continue
-            if expected_digest is not None and payload != expected_digest:
-                self.close()
-                raise ServingError(
-                    "worker {} loaded digest {} but the pool serves {}".format(
-                        worker_index, payload, expected_digest))
-            if self.digest is None:
-                self.digest = payload
-            pending.discard(worker_index)
+                raise ServingError(problem)
 
     def close(self) -> None:
-        """Stop every worker and fail whatever is still in flight."""
+        """Stop every worker and the supervisor; fail whatever is unresolved."""
         with self._lock:
             if self._closing:
                 return
             self._closing = True
             leftovers = list(self._tasks.values())
             self._tasks.clear()
+            self._pending.clear()
         for task in leftovers:
-            task.error = ServingError("worker pool closed")
-            task.event.set()
-        for queue in self._task_queues:
+            self._resolve(task, error=ServingError("worker pool closed"))
+        if self._supervisor is not None:
+            self._supervisor.join()
+        workers = [worker for worker in self._workers if worker is not None]
+        for worker in workers:
             try:
-                queue.put(None)
-            except Exception:
+                worker.conn.send(None)
+            except OSError:
                 pass
-        for process in self._processes:
-            process.join(timeout=_JOIN_TIMEOUT_S)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_JOIN_TIMEOUT_S)
-        self._results.put(None)
+            # a worker blocked sending a result now gets EPIPE and exits
+            worker.conn.close()
+        for worker in workers:
+            worker.process.join(timeout=_JOIN_TIMEOUT_S)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=_JOIN_TIMEOUT_S)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -366,7 +379,7 @@ class WorkerPool:
     def stats(self) -> dict:
         with self._lock:
             state = self._breaker_state
-            dead = len(self._dead)
+            dead = sum(worker is None for worker in self._workers)
             worker_rss = dict(self._worker_rss)
         return {
             "workers": self.workers,
@@ -379,7 +392,7 @@ class WorkerPool:
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_trips": self._breaker_trips.value,
             "dead_workers": dead,
-            # per-worker peak RSS piggybacked on the result pipe; string keys
+            # per-worker peak RSS piggybacked on the result pipes; string keys
             # so the dict survives the JSON trip through /stats unchanged
             "worker_peak_rss_bytes": {str(index): rss
                                       for index, rss in sorted(worker_rss.items())},
@@ -400,38 +413,44 @@ class WorkerPool:
                         len(self._deaths), self.config.breaker_window_s, self.config.breaker_cooldown_s))
             task = _Task(self._next_task_id, method, payload, pool=self)
             self._next_task_id += 1
-            # the parent assigns work at submit time, so it always knows which
-            # worker owns a task — a worker that dies without managing to send
-            # anything still fails exactly its own tasks
-            task.worker_index = self._pick_worker_locked()
+            now = time.monotonic()
             if deadline_s is not None:
-                task.deadline = time.monotonic() + deadline_s
-            task.dispatch_seq = self._dispatch_seq
-            self._dispatch_seq += 1
+                task.deadline = now + deadline_s
             if context is not None:
                 task.trace_ctx = (context[0], context[1], obs_trace.monotonic_us())
             self._tasks[task.task_id] = task
-            # the put happens under the lock so dispatch_seq order equals
-            # queue order — _handle_death relies on it to tell the task the
-            # worker was serving apart from ones still waiting in its queue
-            self._task_queues[task.worker_index].put(
-                (task.task_id, method, payload, task.trace_ctx))
+            self._pending.append(task)
+            self._dispatch_locked(now)
         return task
 
-    def _pick_worker_locked(self) -> int:
-        """Round-robin over workers, skipping ones the breaker holds dead."""
-        index = self._next_worker
-        for _ in range(self.workers):
-            index = self._next_worker
-            self._next_worker = (self._next_worker + 1) % self.workers
-            if index not in self._dead:
-                return index
-        return index  # every worker dead: the queue survives until respawn
+    def _dispatch_locked(self, now: float) -> None:
+        """Send pending tasks, oldest first, to idle ready workers.
+
+        An idle worker's pipe holds nothing unread, so the send cannot
+        block; a send that fails means the worker is dead — its sentinel
+        fires next, and the task stays pending for another worker.
+        """
+        if self._closing:
+            return
+        for worker in self._workers:
+            if worker is None or not worker.ready or worker.task is not None:
+                continue
+            task = next((task for task in self._pending if task.not_before <= now), None)
+            if task is None:
+                return
+            try:
+                worker.conn.send((task.task_id, task.method, task.payload, task.trace_ctx))
+            except OSError:
+                worker.ready = False
+                continue
+            self._pending.remove(task)
+            worker.task = task
 
     def _forget(self, task: _Task) -> None:
         """Drop a task a caller abandoned (its ``result`` timed out)."""
         with self._lock:
-            self._tasks.pop(task.task_id, None)
+            if self._tasks.pop(task.task_id, None) is not None and task in self._pending:
+                self._pending.remove(task)
 
     def _count(self, name: str, amount: int = 1, **labels) -> None:
         """Bump a labeled counter when the pool was handed a registry."""
@@ -457,32 +476,118 @@ class WorkerPool:
                 self._count("faults_fired_total", amount=count, point=point,
                             worker=str(worker_index))
 
-    def _collect(self) -> None:
+    # -- supervision -------------------------------------------------------------------
+
+    def _supervise(self) -> None:
+        """The pool's one thread: results, deaths, deadlines, backoffs, breaker."""
         while True:
-            item = self._results.get()
-            if item is None:
-                return
-            kind, task_id, worker_index, payload, meta = item
-            self._absorb_meta(worker_index, meta)
-            self._count("worker_results_total", worker=str(worker_index), kind=kind)
-            if kind in ("ready", "failed"):
-                # "ready" proves a respawned worker cold-started; either way the
-                # monitor owns death handling — here we only settle the breaker
-                if kind == "ready":
-                    self._breaker_probe_succeeded()
-                continue
             with self._lock:
-                task = self._tasks.pop(task_id, None)
-            # any task result proves the sending worker is serving
-            self._breaker_probe_succeeded()
-            if task is None:
-                continue  # duplicate of a retried task, or an abandoned one
-            if kind == "done":
-                task.value = payload
+                if self._closing:
+                    return
+                now = time.monotonic()
+                overdue = self._expire_locked(now)
+                half_opened = (self._breaker_state == "open" and now - self._breaker_opened_at
+                               >= self.config.breaker_cooldown_s)
+                if half_opened:  # respawn the dead workers as the breaker's probe
+                    self._breaker_state = "half_open"
+                    for index in range(self.workers):
+                        if self._workers[index] is None:
+                            self._respawn_locked(index)
+                self._dispatch_locked(now)
+                handles = {}
+                for worker in filter(None, self._workers):
+                    handles[worker.conn] = handles[worker.process.sentinel] = worker
+                # sleep until the next deadline, backoff end or cooldown end
+                wake = [task.deadline for task in self._tasks.values()
+                        if task.deadline is not None]
+                wake += [task.not_before for task in self._pending]
+                if self._breaker_state == "open":
+                    wake.append(self._breaker_opened_at + self.config.breaker_cooldown_s)
+                timeout = min([_TICK_S] + [instant - now for instant in wake if instant > now])
+            if half_opened:
+                self._breaker_transition("half_open")
+            for task, worker_index in overdue:
+                if task.trace_ctx is not None:
+                    now_us = obs_trace.monotonic_us()
+                    obs_trace.emit_span(
+                        "pool.deadline", task.trace_ctx[:2], now_us, 0,
+                        attrs={"method": task.method, "worker": worker_index},
+                        status="error",
+                        events=[{"name": "deadline_exceeded", "t_us": now_us}])
+                self._resolve(task, error=DeadlineExceeded(
+                    "worker task {!r} missed its deadline".format(task.method)))
+            fired = connection_wait(list(handles), timeout)
+            for worker in {handles[handle] for handle in fired}:
+                if (not self._read_frames(worker, worker.conn in fired)
+                        or not worker.process.is_alive()):
+                    self._handle_death(worker)
+
+    def _expire_locked(self, now: float) -> list:
+        """Unregister overdue tasks and kill only the workers running one;
+        returns ``(task, worker index or None if it was pending)`` pairs."""
+        overdue = []
+        for task in [task for task in self._tasks.values()
+                     if task.deadline is not None and now > task.deadline]:
+            del self._tasks[task.task_id]
+            running = next((worker for worker in filter(None, self._workers)
+                            if worker.task is task), None)
+            if running is None:
+                self._pending.remove(task)
             else:
-                task.error = ServingError("worker {} failed {}: {}".format(
-                    worker_index, task.method, payload))
-            task.event.set()
+                running.ready = False  # no further work for a worker about to die
+                running.process.kill()
+                self._deadline_kills.increment()
+            overdue.append((task, running.index if running else None))
+        return overdue
+
+    def _respawn_locked(self, index: int) -> None:
+        self._restarts.increment()
+        self._workers[index] = self._spawn(index)
+
+    @staticmethod
+    def _resolve(task: _Task, value=None, error: Exception | None = None) -> None:
+        task.value, task.error = value, error
+        task.event.set()
+
+    def _read_frames(self, worker: _Worker, readable: bool) -> bool:
+        """Handle every complete frame on *worker*'s pipe; False at EOF."""
+        while True:
+            try:
+                if not (readable or worker.conn.poll()):
+                    return True
+                frame = worker.conn.recv()
+            except (EOFError, OSError):
+                return False
+            readable = False
+            self._on_frame(worker, frame)
+
+    def _on_frame(self, worker: _Worker, frame) -> None:
+        kind, task_id, payload, meta = frame
+        task, probe_passed = None, False
+        # "failed" is a respawn that cannot load; its exit applies the death policy
+        if kind != "failed":
+            with self._lock:  # hand the worker its next task first: it idles until then
+                if kind == "ready":
+                    worker.ready = True
+                else:
+                    # None for a task resolved by its deadline or abandoned
+                    task = self._tasks.pop(task_id, None)
+                worker.task = None
+                self._dispatch_locked(time.monotonic())
+                # a cold start or any task result proves the half-open probe healthy
+                probe_passed = self._breaker_state == "half_open"
+                if probe_passed:
+                    self._breaker_state = "closed"
+                    self._deaths.clear()
+        self._absorb_meta(worker.index, meta)
+        self._count("worker_results_total", worker=str(worker.index), kind=kind)
+        if probe_passed:
+            self._breaker_transition("closed")
+        if task is not None and kind == "done":
+            self._resolve(task, value=payload)
+        elif task is not None:
+            self._resolve(task, error=ServingError("worker {} failed {}: {}".format(
+                worker.index, task.method, payload)))
 
     def _breaker_transition(self, state: str, **attrs) -> None:
         """Record a breaker state change as a root span + labeled counter."""
@@ -491,216 +596,89 @@ class WorkerPool:
             "pool.breaker_" + state, None, obs_trace.monotonic_us(), 0,
             attrs=attrs or None, status="error" if state == "open" else "ok")
 
-    def _breaker_probe_succeeded(self) -> None:
-        """A half-open probe came back healthy: close the breaker."""
-        with self._lock:
-            closed = self._breaker_state == "half_open"
-            if closed:
-                self._breaker_state = "closed"
-                self._deaths.clear()
-        if closed:
-            self._breaker_transition("closed")
-
-    def _watch(self) -> None:
-        """Monitor loop: deadlines, worker deaths, and breaker transitions."""
-        while True:
-            with self._lock:
-                if self._closing:
-                    return
-                now = time.monotonic()
-                overdue = [task for task in self._tasks.values()
-                           if task.deadline is not None and now > task.deadline]
-                for task in overdue:
-                    del self._tasks[task.task_id]
-                kill = sorted({task.worker_index for task in overdue} - self._dead)
-                respawn = []
-                half_opened = False
-                if (self._breaker_state == "open"
-                        and now - self._breaker_opened_at >= self.config.breaker_cooldown_s):
-                    self._breaker_state = "half_open"
-                    half_opened = True
-                    respawn = sorted(self._dead)
-                candidates = [(index, process)
-                              for index, process in enumerate(self._processes)
-                              if index not in self._dead]
-            if half_opened:
-                self._breaker_transition("half_open")
-            for task in overdue:
-                task.error = DeadlineExceeded(
-                    "worker task {!r} missed its deadline; "
-                    "the worker holding it is being replaced".format(task.method))
-                if task.trace_ctx is not None:
-                    now_us = obs_trace.monotonic_us()
-                    obs_trace.emit_span(
-                        "pool.deadline", task.trace_ctx[:2], now_us, 0,
-                        attrs={"method": task.method, "worker": task.worker_index},
-                        status="error",
-                        events=[{"name": "deadline_exceeded", "t_us": now_us}])
-                task.event.set()
-            for index in kill:
-                self._deadline_kills.increment()
-                process = self._processes[index]
-                if process.is_alive():
-                    process.kill()
-            for index in respawn:
-                self._respawn(index)
-            # a worker that died while this thread was busy handling another
-            # death has a non-alive process but never fires its sentinel again
-            # for connection_wait — sweep for those explicitly
-            newly_dead = [index for index, process in candidates
-                          if not process.is_alive()]
-            if newly_dead:
-                for index in newly_dead:
-                    self._handle_death(index)
-                continue
-            sentinels = {process.sentinel: index for index, process in candidates}
-            if not sentinels:
-                time.sleep(0.2)  # breaker holds every worker dead; keep ticking
-                continue
-            fired = connection_wait(list(sentinels), timeout=0.2)
-            for sentinel in fired:
-                self._handle_death(sentinels[sentinel])
-
-    def _respawn(self, index: int) -> None:
+    def _handle_death(self, worker: _Worker) -> None:
+        """Apply the failure policy to one dead worker life."""
+        worker.process.join(timeout=_JOIN_TIMEOUT_S)
+        worker.conn.close()
+        index, exit_code = worker.index, worker.process.exitcode
+        failures = []
         with self._lock:
             if self._closing:
                 return
-            self._dead.discard(index)
-            self._restarts.increment()
-            self._processes[index] = self._spawn(index)
-
-    def _drain_queue(self, index: int) -> None:
-        """Empty a dead worker's queue so a respawn does not replay tasks the
-        retry path already re-dispatched elsewhere (duplicate work, not
-        duplicate results — but the work is real)."""
-        queue = self._task_queues[index]
-        while True:
-            try:
-                item = queue.get(timeout=0.05)
-            except Empty:
-                return
-            except Exception:
-                return
-            if item is None:  # re-queue the close() poison pill
-                queue.put(None)
-                return
-
-    def _handle_death(self, index: int) -> None:
-        """Apply the failure policy for one dead worker."""
-        process = self._processes[index]
-        process.join(timeout=_JOIN_TIMEOUT_S)
-        # give the collector a beat to drain "done" messages the worker
-        # managed to send before dying, so finished tasks are not failed
-        # retroactively
-        time.sleep(0.1)
-        self._drain_queue(index)
-        with self._lock:
-            if self._closing:
-                return
-            if index in self._dead:
-                return
-            self._dead.add(index)
+            self._workers[index] = None
             now = time.monotonic()
             self._deaths.append(now)
             while self._deaths and now - self._deaths[0] > self.config.breaker_window_s:
                 self._deaths.popleft()
-            tripped = False
-            if self._breaker_state == "half_open":
-                tripped = True  # the probe respawn died: straight back open
-            elif (self.config.breaker_threshold > 0 and self._breaker_state == "closed"
-                    and len(self._deaths) >= self.config.breaker_threshold):
-                tripped = True
+            # a half-open probe that dies sends the breaker straight back open
+            tripped = self._breaker_state == "half_open" or (
+                self._breaker_state == "closed"
+                and 0 < self.config.breaker_threshold <= len(self._deaths))
             if tripped:
                 self._breaker_state = "open"
                 self._breaker_opened_at = now
                 self._breaker_trips.increment()
             deaths_in_window = len(self._deaths)
             breaker_open = self._breaker_state == "open"
-            orphans = [task for task in self._tasks.values()
-                       if task.worker_index == index]
-            for task in orphans:
-                del self._tasks[task.task_id]
-            # the worker serves its queue in dispatch order, so the oldest
-            # unfinished orphan is the task it died serving — only that task
-            # is charged a retry attempt; the rest were still queued and
-            # re-dispatch without touching their budget
-            charged = min(orphans, key=lambda t: t.dispatch_seq, default=None)
-            retry, fail = [], []
-            for task in orphans:
-                if breaker_open or self.config.retries == 0:
-                    fail.append(task)
-                elif task is charged and task.attempts > self.config.retries:
-                    fail.append(task)
+            # only the task the worker was running is charged an attempt;
+            # pending tasks never left the parent
+            orphan = worker.task
+            if orphan is not None and self._tasks.get(orphan.task_id) is not orphan:
+                orphan = None  # already resolved by its deadline, or abandoned
+            attempt = orphan.attempts if orphan is not None else 0
+            retried = orphan is not None and not breaker_open and attempt <= self.config.retries
+            if retried:
+                orphan.attempts += 1
+                orphan.not_before = now + min(
+                    self.config.retry_backoff_s * 2 ** (attempt - 1), _MAX_BACKOFF_S)
+                if orphan.trace_ctx is not None:
+                    # restamp so the next queue-wait span measures from this
+                    # retry, not the original submit
+                    orphan.trace_ctx = (*orphan.trace_ctx[:2], obs_trace.monotonic_us())
+                self._pending.appendleft(orphan)
+                self._tasks_retried.increment()
+            elif orphan is not None:
+                del self._tasks[orphan.task_id]
+                if breaker_open and attempt <= self.config.retries:
+                    failures.append((orphan, PoolDegraded(
+                        "worker {} died (exit code {}) while serving {} and the "
+                        "crash-loop breaker is open".format(index, exit_code, orphan.method))))
                 else:
-                    retry.append(task)
+                    if attempt > 1:
+                        self._retries_exhausted.increment()
+                    failures.append((orphan, ServingError(
+                        "worker {} died (exit code {}) while serving {}{}".format(
+                            index, exit_code, orphan.method,
+                            " after {} attempts".format(attempt) if attempt > 1 else ""))))
+            if breaker_open and not any(self._workers):
+                for task in self._pending:
+                    del self._tasks[task.task_id]
+                    failures.append((task, PoolDegraded(
+                        "worker pool degraded: no live worker is left to run task {!r} "
+                        "while the crash-loop breaker is open".format(task.method))))
+                self._pending.clear()
+            if not breaker_open:
+                self._respawn_locked(index)
         self._count("worker_deaths_total", worker=str(index))
         if tripped:
             self._breaker_transition("open", deaths=deaths_in_window)
-        if charged is not None and charged.trace_ctx is not None:
+        if orphan is not None and orphan.trace_ctx is not None:
             # the attempt the dead worker was serving, visible in the trace
             # even though the worker itself could not ship its spans
             obs_trace.emit_span(
-                "pool.attempt_failed", charged.trace_ctx[:2],
-                obs_trace.monotonic_us(), 0,
-                attrs={"worker": index, "exit_code": process.exitcode,
-                       "attempt": charged.attempts, "method": charged.method},
+                "pool.attempt_failed", orphan.trace_ctx[:2], obs_trace.monotonic_us(), 0,
+                attrs={"worker": index, "exit_code": exit_code,
+                       "attempt": attempt, "method": orphan.method},
                 status="error")
-        for task in fail:
-            if breaker_open and self.config.retries > 0 and task.attempts <= self.config.retries:
-                task.error = PoolDegraded(
-                    "worker {} died (exit code {}) while serving {} and the "
-                    "crash-loop breaker is open".format(index, process.exitcode, task.method))
-            else:
-                suffix = (" after {} attempts".format(task.attempts)
-                          if task.attempts > 1 else "")
-                task.error = ServingError(
-                    "worker {} died (exit code {}) while serving {}{}".format(
-                        index, process.exitcode, task.method, suffix))
-                if task.attempts > 1:
-                    self._retries_exhausted.increment()
-            task.event.set()
-        if not breaker_open:
-            self._respawn(index)
-        if retry:
-            # one backoff sleep per death event, exponential in the charged
-            # task's attempt count
-            attempt = charged.attempts if charged in retry else 1
-            delay = self.config.retry_backoff_s * (2 ** (attempt - 1))
-            if delay > 0:
-                time.sleep(min(delay, _MAX_BACKOFF_S))
-        for task in retry:
-            with self._lock:
-                if self._closing or self._breaker_state == "open":
-                    requeue = False
-                else:
-                    requeue = True
-                    if task is charged:
-                        task.attempts += 1
-                        self._tasks_retried.increment()
-                    task.worker_index = self._pick_worker_locked()
-                    task.dispatch_seq = self._dispatch_seq
-                    self._dispatch_seq += 1
-                    if task.trace_ctx is not None:
-                        # restamp the dispatch time so the next queue-wait
-                        # span measures from this re-dispatch, not the
-                        # original submit
-                        task.trace_ctx = (task.trace_ctx[0], task.trace_ctx[1],
-                                          obs_trace.monotonic_us())
-                    self._tasks[task.task_id] = task
-                    self._task_queues[task.worker_index].put(
-                        (task.task_id, task.method, task.payload, task.trace_ctx))
-            if requeue and task is charged:
-                self._count("tasks_retried_total", worker=str(task.worker_index))
-                if task.trace_ctx is not None:
-                    obs_trace.emit_span(
-                        "pool.retry", task.trace_ctx[:2], task.trace_ctx[2], 0,
-                        attrs={"attempt": task.attempts, "method": task.method,
-                               "worker": task.worker_index})
-            if not requeue:
-                task.error = PoolDegraded(
-                    "worker pool degraded before task {!r} could be retried".format(
-                        task.method))
-                task.event.set()
+        if retried:
+            self._count("tasks_retried_total", worker=str(index))
+            if orphan.trace_ctx is not None:
+                obs_trace.emit_span(
+                    "pool.retry", orphan.trace_ctx[:2], orphan.trace_ctx[2], 0,
+                    attrs={"attempt": orphan.attempts, "method": orphan.method,
+                           "worker": index})
+        for task, error in failures:
+            self._resolve(task, error=error)
 
     # -- typed helpers -----------------------------------------------------------------
 

@@ -7,9 +7,12 @@ The properties under test mirror the failure model (see the README's
 * a worker crash mid-batch costs retries, not the request: with retries on,
   a scripted crash storm completes with zero client-visible failures and a
   table bit-identical to the fault-free run;
+* external ``kill -9`` of random workers while results stream back costs
+  retries, not requests, and leaves the output byte-identical;
 * a wedged task misses its ``timeout_s`` deadline, fails with
   :class:`DeadlineExceeded` (HTTP 503, ``type: deadline``), and the worker
-  holding it is killed and respawned;
+  holding it is killed and respawned; a task that misses its deadline
+  while still queued fails without costing any worker;
 * a crash loop trips the breaker: ``submit`` raises :class:`PoolDegraded`,
   the service falls back to serial sampling (or fails fast, per config),
   ``/readyz`` reports it, and the half-open probe closes the breaker again;
@@ -27,6 +30,7 @@ import asyncio
 import http.client
 import json
 import os
+import random
 import signal
 import socket
 import subprocess
@@ -278,6 +282,55 @@ class TestRetries:
                 service.sample_table(2, seed=11)
             assert service.pool.stats()["retries_exhausted"] >= 1
 
+    def test_external_sigkill_storm_is_bit_identical(self, bundle):
+        """SIGKILLs from outside the pool, at random live workers while
+        results stream back, cost retries and not requests: every request
+        returns the inline table, and the pool still serves after the
+        kills stop."""
+        seeds = (21, 22, 23)
+        with _service(bundle, block_size=8) as inline:
+            references = {seed: inline.sample_table(64, seed=seed) for seed in seeds}
+        with _service(bundle, shards=4, block_size=8, executor="process",
+                      retries=12, retry_backoff_s=0.01, breaker_threshold=0,
+                      timeout_s=20.0) as service:
+            pool = service.pool
+            chooser = random.Random(5)
+            planned, kills = 24, []
+
+            def kill_workers():
+                for _ in range(planned):
+                    time.sleep(chooser.uniform(0.15, 0.5))
+                    with pool._lock:
+                        pids = [worker.process.pid for worker in pool._workers
+                                if worker is not None]
+                    pid = chooser.choice(pids)
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        continue  # died on its own in the meantime
+                    kills.append(pid)
+
+            killer = threading.Thread(target=kill_workers, name="test-killer")
+            killer.start()
+            outcomes = []
+            while killer.is_alive():
+                seed = seeds[len(outcomes) % len(seeds)]
+                try:
+                    outcomes.append((seed, service.sample_table(64, seed=seed)))
+                except ServingError as error:
+                    outcomes.append((seed, error))
+            killer.join(timeout=30)
+            assert not killer.is_alive()
+            after = service.sample_table(64, seed=seeds[0])
+            stats = pool.stats()
+        failed = [(seed, got) for seed, got in outcomes if isinstance(got, Exception)]
+        assert outcomes and not failed, "{} of {} requests failed: {}".format(
+            len(failed), len(outcomes), failed[:2])
+        assert all(got == references[seed] for seed, got in outcomes)
+        assert after == references[seeds[0]]
+        assert len(kills) >= planned // 2
+        assert stats["restarts"] >= 1 and stats["retries_exhausted"] == 0
+
 
 # ---------------------------------------------------------------------------
 # deadlines: wedged tasks are killed, not waited on
@@ -298,6 +351,21 @@ class TestDeadlines:
             assert _poll(lambda: pool.stats()["dead_workers"] == 0)
             assert _poll(lambda: pool.restarts >= 1)
             assert pool.submit("ping", None).result(timeout=30) is None
+        finally:
+            pool.close()
+
+    def test_deadline_on_a_queued_task_spares_the_busy_worker(self, bundle):
+        """A task that misses its deadline while still queued fails alone:
+        the worker running another task is not killed for it."""
+        pool = WorkerPool(ArtifactSource(str(bundle)), ServingConfig(
+            executor="process", retries=0, breaker_threshold=0, faults="task_hang@1=1.5"))
+        try:
+            running = pool.submit("ping", None)
+            queued = pool.submit("ping", None, deadline_s=0.3)
+            with pytest.raises(DeadlineExceeded, match="deadline"):
+                queued.result(timeout=30)
+            assert running.result(timeout=30) is None
+            assert pool.stats()["deadline_kills"] == 0
         finally:
             pool.close()
 

@@ -180,9 +180,16 @@ class TestWorkerCrash:
             assert service.stats()["worker_restarts"] >= 1
 
     def test_closed_pool_rejects_submissions(self, bundle):
+        def pool_threads():
+            return [thread for thread in threading.enumerate()
+                    if thread.name.startswith("workerpool-") and thread not in before]
+
+        before = set(threading.enumerate())
         service = SynthesisService.from_bundle(
             bundle, ServingConfig(executor="process", cache_bytes=0))
+        assert [thread.name for thread in pool_threads()] == ["workerpool-supervisor"]
         service.close()
+        assert pool_threads() == []
         with pytest.raises(ServingError):
             service.pool.submit("ping", None)
 
