@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
-from repro.llm.engine import SEED_MASK, BatchGenerationEngine, derive_seed
+from repro.llm.engine import SEED_MASK, BatchGenerationEngine, CandidateSet, derive_seed
 from repro.llm.finetune import FineTuneConfig, FineTuner
 from repro.llm.ngram_model import NGramLanguageModel
 from repro.llm.sampler import SamplerConfig, TemperatureSampler
@@ -96,7 +96,7 @@ class GReaTSynthesizer:
         self._training_engine: str | None = None
         # guided-sampling state: per column, the observed values and their token ids
         self._column_candidates: dict[str, list] = {}
-        self._candidate_token_ids: dict[str, list[list[int]]] = {}
+        self._candidate_token_ids: dict[str, CandidateSet] = {}
         self._structure_token_ids: dict[str, list[int]] = {}
         self._separator_ids: list[int] = []
         self._value_token_cache: dict = {}
@@ -197,7 +197,11 @@ class GReaTSynthesizer:
         return synth
 
     def _prepare_guided_state(self, tokenizer: WordTokenizer) -> None:
-        """Pre-tokenize every column's observed values and the structural glue."""
+        """Pre-tokenize every column's observed values and the structural glue.
+
+        Each column's values become one :class:`CandidateSet`, whose score
+        memo then serves every guided draw of this synthesizer's engine.
+        """
         self._column_candidates = {}
         self._candidate_token_ids = {}
         self._structure_token_ids = {}
@@ -211,10 +215,10 @@ class GReaTSynthesizer:
             if not values:
                 values = [None]
             self._column_candidates[name] = values
-            self._candidate_token_ids[name] = [
+            self._candidate_token_ids[name] = CandidateSet([
                 encode(self._encoder.encode_value(value)) or [tokenizer.vocabulary.unk_id]
                 for value in values
-            ]
+            ])
             self._structure_token_ids[name] = encode(
                 "{}{}".format(name, self.config.encoder.key_value_separator.strip() or ":")
             )

@@ -22,6 +22,12 @@ shared code.  Identical seeds therefore produce identical sequences on either
 backbone, which the perf harness (``benchmarks.perf.bench_generation``)
 asserts end to end.
 
+Guided sampling scores a column's candidate values (a :class:`CandidateSet`)
+once per distinct lane context, with one ``token_masses`` call for every
+later-position token of every candidate, and memoises each context's
+scores on the set.  That sits above the backbones, so both gain alike and
+their outputs stay identical.
+
 The backbone is picked per :class:`~repro.llm.sampler.SamplerConfig` (its
 ``engine`` field), falling back to the ``REPRO_GENERATION_ENGINE``
 environment variable and finally to ``"compiled"`` — mirroring the frame
@@ -30,6 +36,7 @@ substrate's storage-backend selection.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -51,6 +58,20 @@ _LOG_FLOOR = 1e-12
 #: passed arbitrary ints to ``random.Random``, so seeds are mapped into the
 #: non-negative range before seeding.
 SEED_MASK = 2 ** 63 - 1
+
+#: Scores one candidate set's memo may hold (8 MiB of float64); once it is
+#: full, the memo stops inserting.
+_MEMO_MAX_FLOATS = 1 << 20
+
+#: Scoring windows per ``token_masses`` call, which bounds the scratch
+#: arrays of one guided choice whatever the batch width.
+_WINDOWS_PER_CALL = 1 << 15
+
+#: Guided-scoring counters, in the order they are reported: lanes scored,
+#: the distinct contexts among them, candidates scored afresh (memo misses
+#: times candidates), and memo hits and misses (one per distinct context).
+SCORING_COUNTERS = ("lanes", "distinct_contexts", "candidates_scored",
+                    "memo_hits", "memo_misses")
 
 
 def seeded_rng(seed: int | None) -> np.random.Generator:
@@ -78,6 +99,97 @@ def resolve_engine_kind(kind: str | None = None) -> str:
     """Resolve ``None``/``"auto"`` through the environment to a concrete engine."""
     return resolve_backend_kind(kind, _ENV_VAR, GENERATION_ENGINES,
                                 default="compiled", label="generation engine")
+
+
+class ScoringCounters:
+    """Process-wide tallies of guided candidate scoring (thread-safe, monotonic)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._totals = dict.fromkeys(SCORING_COUNTERS, 0)
+
+    def add(self, **amounts: int) -> None:
+        with self._lock:
+            for name, amount in amounts.items():
+                self._totals[name] += amount
+
+    def _snapshot(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._totals)
+
+    def deltas(self) -> Callable[[], dict[str, int]]:
+        """A reader returning the counters' non-zero growth since its last call.
+
+        The first call reports growth since the reader was made, so a
+        forked worker that makes its reader at start-up reports only its
+        own work.  One reader may be called from several threads.
+        """
+        lock = threading.Lock()
+        last = self._snapshot()
+
+        def read() -> dict[str, int]:
+            nonlocal last
+            with lock:
+                now = self._snapshot()
+                grown = {name: now[name] - last[name] for name in now
+                         if now[name] != last[name]}
+                last = now
+            return grown
+        return read
+
+
+#: This process's guided-scoring counters.
+SCORING = ScoringCounters()
+
+
+class CandidateSet(Sequence):
+    """One column's candidate token sequences, laid out for batched scoring.
+
+    A read-only sequence of the token lists, plus the arrays scoring
+    needs: a padded ``(candidates, max_len)`` token matrix, the lengths,
+    each candidate's first token, and the flat ``(candidate, position >=
+    1)`` pairs ordered by position, then candidate, with ``position_groups``
+    giving each position's candidates and pair slice.
+
+    ``memo`` maps a context (its row bytes plus its length) to the
+    read-only score row of every candidate.  It lives as long as the set,
+    so it is shared by every block and request that samples the column
+    within one process; a set must therefore be scored by one engine only.
+    Plain dict reads and writes keep it safe under concurrent requests,
+    and it stops inserting once it holds :data:`_MEMO_MAX_FLOATS` scores.
+    """
+
+    def __init__(self, token_lists: Sequence[Sequence[int]]):
+        self._token_lists = [list(tokens) for tokens in token_lists]
+        if not self._token_lists:
+            raise ValueError("a candidate set needs at least one candidate")
+        if any(len(tokens) == 0 for tokens in self._token_lists):
+            raise ValueError("candidate token sequences must be non-empty")
+        self.lengths = np.array([len(tokens) for tokens in self._token_lists],
+                                dtype=np.int64)
+        max_len = int(self.lengths.max())
+        self.tokens = np.zeros((len(self._token_lists), max_len), dtype=np.int64)
+        for row, tokens in enumerate(self._token_lists):
+            self.tokens[row, :len(tokens)] = tokens
+        self.first = self.tokens[:, 0].copy()
+        positions, self.pair_candidate = np.nonzero(
+            self.lengths[None, :] > np.arange(1, max_len)[:, None])
+        self.pair_position = positions + 1
+        self.pair_token = self.tokens[self.pair_candidate, self.pair_position]
+        bounds = np.searchsorted(self.pair_position, np.arange(1, max_len + 1))
+        self.position_groups = [(self.pair_candidate[lo:hi], slice(lo, hi))
+                                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        self.memo: dict[bytes, np.ndarray] = {}
+        self.memo_capacity = _MEMO_MAX_FLOATS // len(self._token_lists)
+
+    def __len__(self) -> int:
+        return len(self._token_lists)
+
+    def __getitem__(self, index):
+        return self._token_lists[index]
+
+    def __iter__(self):
+        return iter(self._token_lists)
 
 
 class ObjectBackbone:
@@ -297,44 +409,79 @@ class BatchGenerationEngine:
         return GuidedBatchSession(self, n_lanes, rng)
 
     def _score_candidates(self, contexts: np.ndarray, lengths: np.ndarray,
-                          token_lists: Sequence[Sequence[int]]) -> np.ndarray:
+                          candidates: CandidateSet) -> np.ndarray:
         """Log score of each candidate token sequence per lane, shape (lanes, candidates).
 
+        Lanes that share a context (its row plus its length) are scored
+        once: each distinct context's scores come from the candidate set's
+        memo, or are computed by :meth:`_score_distinct` and memoised, and
+        are then gathered back to the lanes into a fresh array.
+        """
+        keyed = np.concatenate([contexts, lengths[:, None]], axis=1)
+        # one slot per distinct row; the row's bytes are also its memo key
+        # (a dict over the bytes is several times faster than np.unique(axis=0))
+        slots: dict[bytes, int] = {}
+        inverse = np.fromiter((slots.setdefault(row.tobytes(), len(slots)) for row in keyed),
+                              dtype=np.int64, count=keyed.shape[0])
+        keys = list(slots)
+        memo = candidates.memo
+        rows = [memo.get(key) for key in keys]
+        missing = [slot for slot, row in enumerate(rows) if row is None]
+        if missing:
+            distinct = np.frombuffer(b"".join(keys[slot] for slot in missing),
+                                     dtype=keyed.dtype).reshape(len(missing), -1)
+            fresh = self._score_distinct(distinct[:, :-1], distinct[:, -1], candidates)
+            fresh.setflags(write=False)
+            for rank, slot in enumerate(missing):
+                rows[slot] = fresh[rank]
+                # unlocked check: concurrent calls may overshoot by one row each
+                if len(memo) < candidates.memo_capacity:
+                    memo[keys[slot]] = fresh[rank]
+        SCORING.add(lanes=keyed.shape[0], distinct_contexts=len(keys),
+                    candidates_scored=len(missing) * len(candidates),
+                    memo_hits=len(keys) - len(missing), memo_misses=len(missing))
+        return np.stack(rows)[inverse]
+
+    def _score_distinct(self, contexts: np.ndarray, lengths: np.ndarray,
+                        candidates: CandidateSet) -> np.ndarray:
+        """Candidate log scores of distinct contexts, shape (contexts, candidates).
+
         The first token of every candidate is scored from one dense mass
-        matrix; longer candidates extend a simulated context and gather the
-        single target-token mass per additional position.
+        matrix.  Token ``p >= 1`` of candidate ``c`` is scored in the
+        context a lane has after emitting ``c``'s first ``p`` tokens:
+        ``concat(context, tokens_c)[p : p + width]`` with length
+        ``min(length + p, width)``.  Those windows go through ``token_masses``
+        together (in chunks of at most :data:`_WINDOWS_PER_CALL`), and the
+        log masses are added position by position, so every score is the
+        same float sum as scoring the candidates one after another.
         """
         dense = self._backbone.dense_masses(contexts, lengths)
-        first = np.fromiter((tokens[0] for tokens in token_lists), dtype=np.int64,
-                            count=len(token_lists))
-        scores = np.log(np.maximum(dense[:, first], _LOG_FLOOR))
-        max_len = max(len(tokens) for tokens in token_lists)
-        if max_len == 1:
+        scores = np.log(np.maximum(dense[:, candidates.first], _LOG_FLOOR))
+        n_pairs = candidates.pair_position.size
+        if n_pairs == 0:
             return scores
-        # longer candidates: advance one simulated context per candidate and
-        # score every candidate's position-p token in a single stacked call
-        n_lanes = contexts.shape[0]
-        multi = [c for c, tokens in enumerate(token_lists) if len(tokens) > 1]
-        simulated = {c: (contexts.copy(), lengths.copy()) for c in multi}
-        for position in range(1, max_len):
-            live = [c for c in multi if len(token_lists[c]) > position]
-            if not live:
-                break
-            for c in live:
-                sim_contexts, sim_lengths = simulated[c]
-                _advance_shared(sim_contexts, sim_lengths,
-                                int(token_lists[c][position - 1]))
-            stacked_contexts = np.concatenate([simulated[c][0] for c in live])
-            stacked_lengths = np.concatenate([simulated[c][1] for c in live])
-            stacked_tokens = np.concatenate([
-                np.full(n_lanes, int(token_lists[c][position]), dtype=np.int64)
-                for c in live
-            ])
-            masses = self._backbone.token_masses(stacked_contexts, stacked_lengths,
-                                                 stacked_tokens)
-            log_masses = np.log(np.maximum(masses, _LOG_FLOOR))
-            for slot, c in enumerate(live):
-                scores[:, c] += log_masses[slot * n_lanes:(slot + 1) * n_lanes]
+        width = self._width
+        # where each window slot reads from in concat(context, tokens_c)
+        offsets = candidates.pair_position[:, None] + np.arange(width)
+        from_context = offsets < width
+        context_slots = np.minimum(offsets, width - 1)
+        token_part = candidates.tokens[candidates.pair_candidate[:, None],
+                                       np.maximum(offsets - width, 0)]
+        log_masses = np.empty((contexts.shape[0], n_pairs), dtype=np.float64)
+        step = max(1, _WINDOWS_PER_CALL // n_pairs)
+        for lo in range(0, contexts.shape[0], step):
+            block = contexts[lo:lo + step]
+            n_block = block.shape[0]
+            windows = np.where(from_context, block[:, context_slots], token_part)
+            window_lengths = np.minimum(lengths[lo:lo + step, None] + candidates.pair_position,
+                                        width)
+            masses = self._backbone.token_masses(
+                windows.reshape(n_block * n_pairs, width), window_lengths.reshape(-1),
+                np.tile(candidates.pair_token, n_block))
+            log_masses[lo:lo + n_block] = np.log(np.maximum(masses, _LOG_FLOOR)).reshape(
+                n_block, n_pairs)
+        for live, pairs in candidates.position_groups:
+            scores[:, live] += log_masses[:, pairs]
         return scores
 
 
@@ -417,13 +564,16 @@ class GuidedBatchSession:
             self.contexts[rows] = block
             self.lengths[rows] = np.minimum(self.lengths[rows] + count, width)
 
-    def choose(self, token_lists: Sequence[Sequence[int]],
+    def choose(self, token_lists: CandidateSet | Sequence[Sequence[int]],
                temperature: float | None = None) -> np.ndarray:
-        """Score the candidates for every lane and draw one index per lane."""
-        if not token_lists:
-            raise ValueError("choose() needs at least one candidate")
-        if any(len(tokens) == 0 for tokens in token_lists):
-            raise ValueError("candidate token sequences must be non-empty")
+        """Score the candidates for every lane and draw one index per lane.
+
+        Pass a :class:`CandidateSet` built once per column to reuse its
+        layout and memo; a plain list of token lists is wrapped (and
+        validated) on every call.
+        """
+        if not isinstance(token_lists, CandidateSet):
+            token_lists = CandidateSet(token_lists)
         if len(token_lists) == 1:
             return np.zeros(self.n_lanes, dtype=np.int64)
         if temperature is None:
@@ -474,11 +624,3 @@ def _choose_indices(scores: np.ndarray, rng: np.random.Generator,
     cumulative = np.cumsum(weights, axis=1)
     return np.minimum((cumulative < thresholds[:, None]).sum(axis=1), scores.shape[1] - 1)
 
-
-def _advance_shared(contexts: np.ndarray, lengths: np.ndarray, token_id: int) -> None:
-    """Shift every lane's context left by one and append *token_id* (in place)."""
-    if contexts.shape[1] == 0:
-        return
-    contexts[:, :-1] = contexts[:, 1:]
-    contexts[:, -1] = token_id
-    np.minimum(lengths + 1, contexts.shape[1], out=lengths)

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
-from repro.llm.engine import _choose_indices, derive_seed
+from repro.llm.engine import SCORING, _choose_indices, derive_seed
 from repro.obs import trace as obs
 from repro.pipelines.base import TABLE_BLOCK_STREAM, FittedPipeline, block_plan
 from repro.pipelines.multitable import FittedMultiTablePipeline
@@ -452,32 +452,45 @@ def run_unit(fitted, method: str, payload):
     raise ServingError("unknown work unit {!r}".format(method))
 
 
+def count_scoring(metrics: MetricsRegistry, growth: dict[str, int]) -> None:
+    """Fold growth of the engine's scoring counters into ``engine_<name>_total``."""
+    for name, amount in growth.items():
+        metrics.counter("engine_{}_total".format(name)).increment(amount)
+
+
 class InlineExecutor:
     """Runs work units one after another in the calling thread.
 
     The deadline is checked before every unit, so a request past its
     deadline stops at the next unit boundary with :class:`DeadlineExceeded`.
+    The engine's scoring counters are folded into *metrics* after every
+    run, under the same names the worker processes report.
     """
 
     #: the worker pool behind the executor (none: work runs in-process)
     pool = None
 
-    def __init__(self, fitted):
+    def __init__(self, fitted, metrics: MetricsRegistry):
         self.fitted = fitted
+        self.metrics = metrics
         #: runs a degraded pool handed to in-process execution (always 0
         #: unless this is a :class:`ProcessExecutor`)
         self.fallbacks = Counter()
+        self._scoring_growth = SCORING.deltas()
 
     def run(self, method: str, payloads: list, deadline_s: float | None = None) -> list:
         """The :func:`run_unit` result of every payload, in order."""
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         results = []
-        for payload in payloads:
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded(
-                    "{} missed its {}s deadline after {} of {} work units".format(
-                        method, deadline_s, len(results), len(payloads)))
-            results.append(run_unit(self.fitted, method, payload))
+        try:
+            for payload in payloads:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise DeadlineExceeded(
+                        "{} missed its {}s deadline after {} of {} work units".format(
+                            method, deadline_s, len(results), len(payloads)))
+                results.append(run_unit(self.fitted, method, payload))
+        finally:
+            count_scoring(self.metrics, self._scoring_growth())
         return results
 
     def close(self) -> None:
@@ -492,8 +505,9 @@ class ProcessExecutor(InlineExecutor):
     ``"fail_fast"`` lets :class:`PoolDegraded` propagate.
     """
 
-    def __init__(self, fitted, pool, degraded_mode: str = "serial"):
-        super().__init__(fitted)
+    def __init__(self, fitted, metrics: MetricsRegistry, pool,
+                 degraded_mode: str = "serial"):
+        super().__init__(fitted, metrics)
         self.pool = pool
         self.degraded_mode = degraded_mode
 
@@ -536,10 +550,11 @@ class SynthesisService:
         #: cache namespace; loaded services use the content digest so equal
         #: artifacts share keys, in-memory ones get a unique token
         self.digest = digest or "unsaved-{:x}".format(id(fitted))
-        #: where every work unit runs
-        self.executor = (InlineExecutor(fitted) if pool is None
-                         else ProcessExecutor(fitted, pool, self.config.degraded_mode))
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: where every work unit runs
+        self.executor = (InlineExecutor(fitted, self.metrics) if pool is None
+                         else ProcessExecutor(fitted, self.metrics, pool,
+                                              self.config.degraded_mode))
         self._cache = LruCache(self.config.cache_bytes)
         self._stats_lock = threading.Lock()
         self._stats = {"table_requests": 0, "row_requests": 0, "database_requests": 0,

@@ -59,11 +59,12 @@ from multiprocessing.connection import wait as connection_wait
 import numpy as np
 
 from repro import faults
+from repro.llm.engine import SCORING
 from repro.obs import trace as obs_trace
 from repro.serving.metrics import Counter
 from repro.serving.service import (ArtifactSource, DeadlineExceeded, PoolDegraded,
                                    RowRequest, ServingConfig, ServingError,
-                                   process_peak_rss_bytes, run_unit)
+                                   count_scoring, process_peak_rss_bytes, run_unit)
 from repro.store.tablefmt import arrays_to_table, table_to_arrays
 
 #: Seconds a worker gets to load the bundle and report ready.
@@ -125,9 +126,11 @@ def _worker_main(worker_index: int, source: ArtifactSource, config: ServingConfi
         obs_trace.disable()
         span_buffer = None
     fired_last: dict[str, int] = {}
+    scoring_growth = SCORING.deltas()
 
     def _meta() -> dict:
-        """Per-result sideband: peak RSS, buffered spans, fault-fired deltas."""
+        """Per-result sideband: peak RSS, buffered spans, fault-fired and
+        engine-counter deltas."""
         meta: dict = {"rss": process_peak_rss_bytes()}
         if span_buffer is not None:
             meta["spans"] = span_buffer.drain()
@@ -138,6 +141,9 @@ def _worker_main(worker_index: int, source: ArtifactSource, config: ServingConfi
         if delta:
             meta["faults"] = delta
             fired_last.update(fired)
+        scored = scoring_growth()
+        if scored:
+            meta["engine"] = scored
         return meta
 
     try:
@@ -475,6 +481,8 @@ class WorkerPool:
             for point, count in fired.items():
                 self._count("faults_fired_total", amount=count, point=point,
                             worker=str(worker_index))
+        if self._metrics is not None and "engine" in meta:
+            count_scoring(self._metrics, meta["engine"])
 
     # -- supervision -------------------------------------------------------------------
 

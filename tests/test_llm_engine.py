@@ -4,7 +4,14 @@ The object and compiled backbones must produce *identical* outputs for
 identical seeds — bit-identical mass matrices in, one shared RNG protocol
 out.  These tests pin that contract across temperatures, top-k values,
 prompts, the validity-retry path, and the guided synthesizer stack.
+Guided candidate scoring (distinct contexts, one window program per
+column, the score memo) is checked bit for bit against a per-candidate
+reference loop.
 """
+
+import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.frame.table import Table
 from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
 from repro.llm.compiled import CompiledNGramModel
-from repro.llm.engine import BatchGenerationEngine, ObjectBackbone, resolve_engine_kind
+from repro.llm import engine as engine_module
+from repro.llm.engine import (
+    BatchGenerationEngine,
+    CandidateSet,
+    ObjectBackbone,
+    resolve_engine_kind,
+)
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig, NGramLanguageModel
 from repro.llm.sampler import SamplerConfig, TemperatureSampler
@@ -134,6 +147,182 @@ class TestFreeGenerationEquivalence:
             trained_model, temperature=temperature, top_k=top_k, max_tokens=32)
         assert object_engine.generate_sentences(6, seed=seed) == \
             compiled_engine.generate_sentences(6, seed=seed)
+
+
+def _reference_scores(engine, contexts, lengths, token_lists):
+    """Candidate log scores by the per-candidate loop (the oracle).
+
+    Every multi-token candidate advances its own copy of the lane contexts
+    one token at a time, and each position's target masses come from one
+    stacked ``token_masses`` call, added to the scores in position order.
+    """
+    backbone = engine._backbone
+    dense = backbone.dense_masses(contexts, lengths)
+    first = np.array([tokens[0] for tokens in token_lists], dtype=np.int64)
+    scores = np.log(np.maximum(dense[:, first], 1e-12))
+    max_len = max(len(tokens) for tokens in token_lists)
+    n_lanes, width = contexts.shape
+    multi = [c for c, tokens in enumerate(token_lists) if len(tokens) > 1]
+    simulated = {c: (contexts.copy(), lengths.copy()) for c in multi}
+    for position in range(1, max_len):
+        live = [c for c in multi if len(token_lists[c]) > position]
+        for c in live:
+            sim_contexts, sim_lengths = simulated[c]
+            if width:
+                sim_contexts[:, :-1] = sim_contexts[:, 1:]
+                sim_contexts[:, -1] = token_lists[c][position - 1]
+                np.minimum(sim_lengths + 1, width, out=sim_lengths)
+        masses = backbone.token_masses(
+            np.concatenate([simulated[c][0] for c in live]),
+            np.concatenate([simulated[c][1] for c in live]),
+            np.concatenate([np.full(n_lanes, token_lists[c][position], dtype=np.int64)
+                            for c in live]))
+        log_masses = np.log(np.maximum(masses, 1e-12))
+        for slot, c in enumerate(live):
+            scores[:, c] += log_masses[slot * n_lanes:(slot + 1) * n_lanes]
+    return scores
+
+
+@functools.cache
+def _scoring_engine(kind, order):
+    tokenizer = WordTokenizer().fit(CORPUS)
+    model = NGramLanguageModel(tokenizer, ModelConfig(order=order, smoothing=0.01))
+    model.fit(CORPUS)
+    return BatchGenerationEngine(model, SamplerConfig(engine=kind))
+
+
+@st.composite
+def _scoring_cases(draw):
+    """Lanes drawn from a few distinct contexts (garbage allowed left of the
+    valid tail, lengths from 0 to the width) and a candidate list."""
+    kind = draw(st.sampled_from(["object", "compiled"]))
+    order = draw(st.sampled_from([1, 2, 4, 6]))
+    engine = _scoring_engine(kind, order)
+    width = order - 1
+    vocab_size = len(engine.tokenizer.vocabulary)
+    token = st.integers(0, vocab_size - 1)
+    pool = draw(st.lists(st.tuples(st.lists(token, min_size=width, max_size=width),
+                                   st.integers(0, width)), min_size=1, max_size=5))
+    lanes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    contexts = np.array([row for row, _ in lanes], dtype=np.int64).reshape(len(lanes), width)
+    lengths = np.array([length for _, length in lanes], dtype=np.int64)
+    max_tokens = draw(st.sampled_from([1, 6]))
+    token_lists = draw(st.lists(st.lists(token, min_size=1, max_size=max_tokens),
+                                min_size=1, max_size=8))
+    return engine, contexts, lengths, token_lists
+
+
+class TestGuidedScoring:
+    @given(case=_scoring_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_candidate_loop_cold_and_warm(self, case):
+        engine, contexts, lengths, token_lists = case
+        expected = _reference_scores(engine, contexts, lengths, token_lists)
+        candidates = CandidateSet(token_lists)
+        cold = engine._score_candidates(contexts, lengths, candidates)
+        assert cold.dtype == np.float64 and expected.dtype == np.float64
+        assert np.array_equal(cold, expected)
+        assert len(candidates.memo) == len(np.unique(
+            np.concatenate([contexts, lengths[:, None]], axis=1), axis=0))
+        warm = engine._score_candidates(contexts, lengths, candidates)
+        assert np.array_equal(warm, expected)
+        # half warm: the memo answers some lanes, the rest are scored afresh
+        half = CandidateSet(token_lists)
+        engine._score_candidates(contexts[::2], lengths[::2], half)
+        assert np.array_equal(engine._score_candidates(contexts, lengths, half), expected)
+
+    def test_backbones_agree_on_multi_token_candidates(self):
+        token_lists = [[3, 4, 5, 6, 7, 8, 9], [3], [10, 2], [3, 4, 11], [12] * 5]
+        rng = np.random.default_rng(2)
+        contexts = rng.integers(0, 14, size=(30, 3)).astype(np.int64)
+        lengths = rng.integers(0, 4, size=30).astype(np.int64)
+        scores = [_scoring_engine(kind, 4)._score_candidates(
+            contexts, lengths, CandidateSet(token_lists)) for kind in ("object", "compiled")]
+        assert np.array_equal(*scores)
+
+    def test_memo_past_its_bound_stays_bounded_and_exact(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_MEMO_MAX_FLOATS", 3 * 7)
+        engine = _scoring_engine("compiled", 4)
+        token_lists = [[3, 4, 5], [6], [7, 8], [9, 10, 11, 12], [13], [2, 3], [4, 4]]
+        candidates = CandidateSet(token_lists)
+        assert candidates.memo_capacity == 3
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            contexts = rng.integers(0, 14, size=(20, 3)).astype(np.int64)
+            lengths = rng.integers(0, 4, size=20).astype(np.int64)
+            expected = _reference_scores(engine, contexts, lengths, token_lists)
+            for _ in range(2):
+                assert np.array_equal(
+                    engine._score_candidates(contexts, lengths, candidates), expected)
+                assert len(candidates.memo) == 3
+
+    def test_shared_memo_under_concurrent_threads(self, monkeypatch):
+        """More threads than cores share one set: every result stays exact,
+        the memo stays near its bound and no counter update is lost."""
+        monkeypatch.setattr(engine_module, "_MEMO_MAX_FLOATS", 40 * 3)
+        engine = _scoring_engine("compiled", 4)
+        token_lists = [[3, 4, 5], [6], [7, 8, 9, 10]]
+        candidates = CandidateSet(token_lists)
+        rng = np.random.default_rng(9)
+        batches = [(rng.integers(0, 6, size=(16, 3)).astype(np.int64),
+                    rng.integers(0, 4, size=16).astype(np.int64)) for _ in range(8)]
+        expected = [_reference_scores(engine, contexts, lengths, token_lists)
+                    for contexts, lengths in batches]
+        growth = engine_module.SCORING.deltas()
+        failures = []
+
+        def work(offset):
+            for call in range(30):
+                index = (offset + call) % len(batches)
+                scores = engine._score_candidates(*batches[index], candidates)
+                if not np.array_equal(scores, expected[index]):
+                    failures.append(index)
+
+        n_threads = 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,))
+                       for offset in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(candidates.memo) <= candidates.memo_capacity + n_threads - 1
+        assert growth()["lanes"] == n_threads * 30 * 16
+
+    def test_memo_rows_are_read_only_and_results_fresh(self):
+        engine = _scoring_engine("compiled", 4)
+        candidates = CandidateSet([[3, 4], [5]])
+        contexts = np.zeros((4, 3), dtype=np.int64)
+        lengths = np.ones(4, dtype=np.int64)
+        first = engine._score_candidates(contexts, lengths, candidates)
+        first += 1.0  # a caller may scribble on its result
+        second = engine._score_candidates(contexts, lengths, candidates)
+        assert np.array_equal(first - 1.0, second)
+        assert all(not row.flags.writeable for row in candidates.memo.values())
+
+    def test_candidate_set_is_a_sequence_of_token_lists(self):
+        token_lists = [[3, 4, 5], [6], [7, 8]]
+        candidates = CandidateSet(token_lists)
+        assert len(candidates) == 3
+        assert list(candidates) == token_lists
+        assert candidates[2] == [7, 8]
+        assert sum(len(tokens) for tokens in candidates) == 6
+        assert candidates.pair_position.tolist() == [1, 1, 2]
+        assert candidates.pair_candidate.tolist() == [0, 2, 0]
+
+    @pytest.mark.parametrize("token_lists", [[], [[3], []]])
+    def test_bad_candidates_rejected(self, token_lists):
+        with pytest.raises(ValueError):
+            CandidateSet(token_lists)
+        session = _scoring_engine("compiled", 4).guided_session(2, seed=0)
+        with pytest.raises(ValueError):
+            session.choose(token_lists)
 
 
 def _great_config(engine, strategy="guided", temperature=0.85, seed=0):

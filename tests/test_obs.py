@@ -454,6 +454,42 @@ class TestHttpSurface:
         assert 'repro_http_requests_total{path="/sample_table",status="200"} 1' in text
         assert "repro_server_accepted" in text
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_engine_counters_reach_metrics(self, bundle, executor):
+        """Guided-scoring counters reach ``/metrics`` from either executor,
+        and a repeated request is scored from the warm memo."""
+        def scrape(port):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            try:
+                connection.request("GET", "/metrics")
+                text = connection.getresponse().read().decode("utf-8")
+            finally:
+                connection.close()
+            return {line.split()[0]: float(line.split()[1])
+                    for line in text.splitlines() if line.startswith("repro_engine_")}
+
+        with SynthesisService.from_bundle(bundle, ServingConfig(
+                executor=executor, cache_bytes=0)) as service:
+            with _RunningServer(service) as server:
+                scrapes = []
+                for _ in range(2):
+                    status, _, _ = _http(server.port, "POST", "/sample_table",
+                                         {"n": 4, "seed": 11})
+                    assert status == 200
+                    scrapes.append(scrape(server.port))
+        first, second = scrapes
+        assert set(second) == {"repro_engine_{}_total".format(name) for name in
+                               ("lanes", "distinct_contexts", "candidates_scored",
+                                "memo_hits", "memo_misses")}
+        assert second["repro_engine_memo_hits_total"] > first.get(
+            "repro_engine_memo_hits_total", 0)
+        # the repeat meets only contexts the first request already scored
+        assert second["repro_engine_memo_misses_total"] == first["repro_engine_memo_misses_total"]
+        assert second["repro_engine_lanes_total"] == 2 * first["repro_engine_lanes_total"]
+        assert first["repro_engine_distinct_contexts_total"] == (
+            first.get("repro_engine_memo_hits_total", 0)
+            + first["repro_engine_memo_misses_total"])
+
     def test_trace_endpoint_requires_ring(self, bundle):
         with SynthesisService.from_bundle(bundle, ServingConfig(
                 cache_bytes=0)) as service:
