@@ -7,8 +7,14 @@ and compares it with ``tests/golden/serving_digests.json``:
 
 * ``sample_table`` inline and on the process pool at 1 and 2 workers;
 * the chunks of ``iter_sample_table``;
-* one coalesced ``sample_rows_many`` batch;
-* ``sample_database`` inline and on the process pool.
+* one coalesced ``sample_rows_many`` batch, and one whose conditioned
+  request names a value outside the column's candidate set;
+* ``GReaTSynthesizer.sample_conditional`` with per-lane mixed prompts over
+  several engine sessions that share one RNG;
+* ``sample_table`` on the ``derec`` and ``direct_flatten`` pipelines;
+* the bytes CLI ``sample --out`` writes, whole and chunked;
+* ``sample_database`` inline and on the process pool, and a resumed
+  ``iter_sample_database`` spill after a torn write.
 
 A digest that changes must be justified by the change that moved it.
 Regenerate the file with ``PYTHONPATH=src python -m tests.test_golden_serving``.
@@ -16,24 +22,35 @@ Regenerate the file with ``PYTHONPATH=src python -m tests.test_golden_serving``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.connecting.connector import ConnectorConfig
 from repro.datasets.digix import DigixConfig, generate_digix_like
 from repro.datasets.relational import RetailConfig, generate_retail_like
 from repro.enhancement.enhancer import EnhancerConfig
+from repro.pipelines.base import FittedPipeline
 from repro.pipelines.config import PipelineConfig
+from repro.pipelines.derec import DERECPipeline
+from repro.pipelines.flatten_baseline import DirectFlattenPipeline
 from repro.pipelines.greater import GReaTERPipeline
-from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
+from repro.pipelines.multitable import (
+    FittedMultiTablePipeline,
+    MultiTablePipelineConfig,
+    MultiTableSchemaPipeline,
+)
 from repro.schema import infer_schema
 from repro.serving import ServingConfig, SynthesisService
-from repro.serving.service import RowRequest
+from repro.serving.service import RowRequest, child_synthesizer
+from repro.store.stream import part_table_is_complete
 
 GOLDEN = Path(__file__).parent / "golden" / "serving_digests.json"
 ENGINES = ("object", "compiled")
@@ -42,6 +59,19 @@ ENGINES = ("object", "compiled")
 TABLE = dict(n=11, seed=9)
 BLOCK_SIZE = 4
 ROW_REQUESTS = (RowRequest(n=3, seed=5), RowRequest(n=4, conditions=(("gender", 1),), seed=6))
+#: ``gender=7`` is no enhanced label: the mapping passes it through unchanged
+UNKNOWN_VALUE_REQUESTS = (RowRequest(n=2, seed=4),
+                          RowRequest(n=3, conditions=(("gender", 7),), seed=5),
+                          RowRequest(n=2, conditions=(("age", 4), ("gender", 1)), seed=6))
+#: enhanced-space prompts over three sessions of 3 lanes: the first mixes
+#: free and fixed lanes, the second fixes ``gender`` on every lane
+#: (``label`` has one candidate), and values outside the candidate sets
+#: (``7``, ``1.0``, the two-word ``New York``) are encoded, not looked up
+CONDITIONAL_PROMPTS = ({}, {"gender": "male"}, {"gender": 7, "age": "thirties"},
+                       {"gender": "female"}, {"gender": 1.0, "label": "clicked"},
+                       {"gender": "others", "residence": "New York"},
+                       {"age": "forties"}, {})
+CONDITIONAL = dict(seed=12, max_lanes=3)
 DATABASE = dict(n=5, seed=3)
 
 
@@ -59,6 +89,14 @@ def database_digest(database: dict) -> dict:
     return {name: csv_digest(table) for name, table in sorted(database.items())}
 
 
+#: the two-table pipelines besides ``greater``, pinned through ``sample_table``
+BASELINES = {"derec": DERECPipeline, "direct_flatten": DirectFlattenPipeline}
+
+
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def fit_bundles(directory: Path) -> dict:
     """Fit and save the smoke-size artifacts; ``(kind, engine) -> path``."""
     trial = generate_digix_like(DigixConfig(
@@ -68,15 +106,16 @@ def fit_bundles(directory: Path) -> dict:
     graph = infer_schema(retail)
     paths = {}
     for engine in ENGINES:
-        greater = GReaTERPipeline(PipelineConfig(
+        config = PipelineConfig(
             seed=0, drop_columns=("task_id",),
             enhancer=EnhancerConfig(semantic_level="understandability", seed=0),
             connector=ConnectorConfig(independence_method="threshold_mean",
                                       remove_noisy_columns=False),
             generation_engine=engine, training_engine=engine,
-        )).fit(trial.ads, trial.feeds)
-        paths["greater", engine] = directory / "greater-{}".format(engine)
-        greater.save(paths["greater", engine])
+        )
+        for kind, pipeline in (("greater", GReaTERPipeline), *BASELINES.items()):
+            paths[kind, engine] = directory / "{}-{}".format(kind, engine)
+            pipeline(config).fit(trial.ads, trial.feeds).save(paths[kind, engine])
         multitable = MultiTableSchemaPipeline(MultiTablePipelineConfig(
             seed=0, generation_engine=engine, training_engine=engine)).fit(retail, graph)
         paths["multitable", engine] = directory / "multitable-{}".format(engine)
@@ -98,6 +137,13 @@ def table_digests(path) -> dict:
             csv_digest(chunk) for chunk in service.iter_sample_table(**TABLE)]
         out["sample_rows_many/inline"] = [
             csv_digest(table) for table in service.sample_rows_many(list(ROW_REQUESTS))]
+        out["sample_rows_many/unknown_value"] = [
+            csv_digest(table)
+            for table in service.sample_rows_many(list(UNKNOWN_VALUE_REQUESTS))]
+    synth = child_synthesizer(FittedPipeline.load(path))
+    out["sample_conditional/mixed"] = csv_digest(
+        synth.sample_conditional([dict(prompt) for prompt in CONDITIONAL_PROMPTS],
+                                 **CONDITIONAL))
     for workers in (1, 2):
         with _service(path, executor="process", shards=workers) as service:
             key = "{}/process-{}".format("{}", workers)
@@ -111,20 +157,53 @@ def table_digests(path) -> dict:
     return out
 
 
-def database_digests(path) -> dict:
+def pipeline_digests(paths: dict, engine: str, scratch: Path) -> dict:
+    """``sample_table`` of the baselines and CLI ``sample --out`` bytes."""
+    out = {}
+    for kind in BASELINES:
+        with _service(paths[kind, engine]) as service:
+            out["{}/sample_table/inline".format(kind)] = csv_digest(
+                service.sample_table(**TABLE))
+    bundle = str(paths["greater", engine])
+    args = ["sample", "--bundle", bundle, "--n", str(TABLE["n"]), "--seed", str(TABLE["seed"])]
+    for key, extra in (("cli/sample --out", []),
+                       ("cli/sample --out --chunk-rows", ["--chunk-rows", str(BLOCK_SIZE)])):
+        target = scratch / "cli-{}-{}.csv".format(engine, len(extra))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*args, "--out", str(target), *extra]) == 0
+        out[key] = file_digest(target)
+    return out
+
+
+def database_digests(path, scratch: Path) -> dict:
     out = {}
     with _service(path) as service:
         out["sample_database/inline"] = database_digest(service.sample_database(**DATABASE))
     with _service(path, executor="process", shards=2) as service:
         out["sample_database/process-2"] = database_digest(
             service.sample_database(**DATABASE))
+    # spill two tables, tear the next one mid-write, then resume the spill
+    fitted = FittedMultiTablePipeline.load(path)
+    spool = scratch / "spool-{}".format(Path(path).name)
+    shutil.rmtree(spool, ignore_errors=True)
+    walk = fitted.iter_sample_database(**DATABASE, spool=spool)
+    next(walk)
+    next(walk)
+    walk.close()
+    torn = next(spool / name for name in fitted.graph.topological_order()
+                if not part_table_is_complete(spool / name))
+    torn.mkdir(parents=True, exist_ok=True)
+    (torn / "part-00000.npz").write_bytes(b"torn half-written part")
+    out["iter_sample_database/resumed"] = database_digest(
+        dict(fitted.iter_sample_database(**DATABASE, spool=spool, resume=True)))
     return out
 
 
 def compute(directory: Path) -> dict:
     paths = fit_bundles(directory)
     return {engine: {**table_digests(paths["greater", engine]),
-                     **database_digests(paths["multitable", engine])}
+                     **pipeline_digests(paths, engine, directory),
+                     **database_digests(paths["multitable", engine], directory)}
             for engine in ENGINES}
 
 
@@ -138,18 +217,31 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+def _owned(golden: dict, test: str) -> dict:
+    """The golden digests *test* recomputes; every key has exactly one owner."""
+    def owner(key: str) -> str:
+        if key.startswith(("sample_database", "iter_sample_database")):
+            return "database"
+        if key.startswith(("cli/", *BASELINES)):
+            return "pipeline"
+        return "table"
+    return {key: value for key, value in golden.items() if owner(key) == test}
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_table_digests_match_golden(bundles, golden, engine):
-    assert table_digests(bundles["greater", engine]) == {
-        key: value for key, value in golden[engine].items()
-        if not key.startswith("sample_database")}
+    assert table_digests(bundles["greater", engine]) == _owned(golden[engine], "table")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_database_digests_match_golden(bundles, golden, engine):
-    assert database_digests(bundles["multitable", engine]) == {
-        key: value for key, value in golden[engine].items()
-        if key.startswith("sample_database")}
+def test_pipeline_digests_match_golden(bundles, golden, engine, tmp_path):
+    assert pipeline_digests(bundles, engine, tmp_path) == _owned(golden[engine], "pipeline")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_database_digests_match_golden(bundles, golden, engine, tmp_path):
+    assert database_digests(bundles["multitable", engine], tmp_path) == _owned(
+        golden[engine], "database")
 
 
 if __name__ == "__main__":

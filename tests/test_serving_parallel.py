@@ -246,23 +246,27 @@ class TestHttpServer:
             assert stats["queue_high_water"] <= 2
 
     def test_rows_coalesce_across_connections_and_match_solo(self, bundle):
+        # the last request conditions another column, so a merged batch
+        # mixes lanes that fix a column with lanes that draw it
+        inputs = [{"n": 4, "seed": 100 + index, "conditions": {"gender": 1}}
+                  for index in range(5)]
+        inputs.append({"n": 3, "seed": 105, "conditions": {"age": 4}})
         with _service(bundle, batch_window_s=0.05) as service, \
                 _running_server(service) as server:
-            def one(index):
+            def one(body):
                 return request_json(server.host, server.port, "POST",
-                                    "/sample_rows",
-                                    {"n": 4, "seed": 100 + index,
-                                     "conditions": {"gender": 1}}, timeout=120)
-            with ThreadPoolExecutor(max_workers=5) as pool:
-                outcomes = list(pool.map(one, range(5)))
+                                    "/sample_rows", body, timeout=120)
+            with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+                outcomes = list(pool.map(one, inputs))
             assert all(status == 200 for status, _ in outcomes)
             stats = service.stats()
-            assert stats["row_requests"] == 5
-            assert stats["coalesced_batches"] < 5  # at least one merged drain
+            assert stats["row_requests"] == len(inputs)
+            assert stats["coalesced_batches"] < len(inputs)  # at least one merged drain
             with _service(bundle) as solo:
-                for index, (_, body) in enumerate(outcomes):
-                    expected = solo.sample_rows(4, {"gender": 1}, seed=100 + index)
-                    assert body == table_payload(expected)
+                for body, (_, got) in zip(inputs, outcomes):
+                    expected = solo.sample_rows(body["n"], body["conditions"],
+                                                seed=body["seed"])
+                    assert got == table_payload(expected)
 
     def test_process_backed_server(self, bundle):
         with _service(bundle, shards=2, block_size=4, executor="process") as service, \
