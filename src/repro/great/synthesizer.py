@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
-import math
 import random
+from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
-from repro.llm.engine import SEED_MASK, BatchGenerationEngine, CandidateSet, derive_seed
+from repro.llm.engine import (
+    SEED_MASK,
+    BatchGenerationEngine,
+    CandidateSet,
+    GuidedBatchSession,
+    derive_seed,
+)
 from repro.llm.finetune import FineTuneConfig, FineTuner
 from repro.llm.ngram_model import NGramLanguageModel
-from repro.llm.sampler import SamplerConfig, TemperatureSampler
+from repro.llm.sampler import SamplerConfig
 from repro.llm.tokenizer import WordTokenizer
 from repro.obs import trace as obs
 from repro.textenc.corpus import CorpusBuilder
@@ -89,13 +96,13 @@ class GReaTSynthesizer:
         self._encoder = TextualEncoder(self.config.encoder)
         self._decoder: TextualDecoder | None = None
         self._model: NGramLanguageModel | None = None
-        self._sampler: TemperatureSampler | None = None
         self._engine: BatchGenerationEngine | None = None
         self._training_table: Table | None = None
         self._perplexity_trace: list[float] = []
         self._training_engine: str | None = None
-        # guided-sampling state: per column, the observed values and their token ids
-        self._column_candidates: dict[str, list] = {}
+        # guided-sampling state: per column, the observed values (an object
+        # array, so draws gather the value objects themselves) and their token ids
+        self._column_candidates: dict[str, np.ndarray] = {}
         self._candidate_token_ids: dict[str, CandidateSet] = {}
         self._structure_token_ids: dict[str, list[int]] = {}
         self._separator_ids: list[int] = []
@@ -163,11 +170,9 @@ class GReaTSynthesizer:
         self._training_engine = result.engine
         self._decoder = decoder
         self._model = result.model
-        self._sampler = TemperatureSampler(result.model, self.config.sampler)
-        self._sampler.reseed(self.config.seed)
-        # share one engine with the sampler; compiled-trained models hand the
-        # engine their cached CSR freeze, so the counts are never re-frozen
-        self._engine = self._sampler.engine
+        # compiled-trained models hand the engine their cached CSR freeze,
+        # so the counts are never re-frozen
+        self._engine = BatchGenerationEngine(result.model, self.config.sampler)
         self._prepare_guided_state(tokenizer)
         return self
 
@@ -190,9 +195,7 @@ class GReaTSynthesizer:
         synth._model = model
         synth._perplexity_trace = list(perplexity_trace)
         synth._training_engine = training_engine
-        synth._sampler = TemperatureSampler(model, config.sampler)
-        synth._sampler.reseed(config.seed)
-        synth._engine = synth._sampler.engine
+        synth._engine = BatchGenerationEngine(model, config.sampler)
         synth._prepare_guided_state(model.tokenizer)
         return synth
 
@@ -214,7 +217,9 @@ class GReaTSynthesizer:
             values = self._training_table.column(name).unique()
             if not values:
                 values = [None]
-            self._column_candidates[name] = values
+            self._column_candidates[name] = np.empty(len(values), dtype=object)
+            for index, value in enumerate(values):
+                self._column_candidates[name][index] = value
             self._candidate_token_ids[name] = CandidateSet([
                 encode(self._encoder.encode_value(value)) or [tokenizer.vocabulary.unk_id]
                 for value in values
@@ -229,182 +234,135 @@ class GReaTSynthesizer:
 
     # -- guided sampling ---------------------------------------------------------------
 
-    def _sample_column_value(self, name: str, context_ids: list[int], rng: random.Random):
-        """Score every observed value of *name* given the context and sample one."""
-        candidates = self._column_candidates[name]
-        token_lists = self._candidate_token_ids[name]
-        if len(candidates) == 1:
-            return candidates[0], token_lists[0]
-        log_scores = [
-            self._model.score_token_sequence(context_ids, tokens) for tokens in token_lists
-        ]
-        temperature = max(self.config.sampler.temperature, 1e-6)
-        max_score = max(log_scores)
-        weights = [math.exp((score - max_score) / temperature) for score in log_scores]
-        total = sum(weights)
-        threshold = rng.random() * total
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if cumulative >= threshold:
-                return candidates[index], token_lists[index]
-        return candidates[-1], token_lists[-1]
-
-    def _sample_row_guided(self, prompt_row: dict | None, rng: random.Random) -> dict:
-        vocab = self._model.tokenizer.vocabulary
-        context: list[int] = [vocab.bos_id]
-        row: dict = {}
-        encode = lambda text: [  # noqa: E731 - tiny local helper
-            vocab.encode_token(tok) for tok in self._model.tokenizer.tokenize(text)
-        ]
-        for name in self._training_table.column_names:
-            context.extend(self._structure_token_ids[name])
-            if prompt_row is not None and name in prompt_row:
-                value = prompt_row[name]
-                value_tokens = encode(self._encoder.encode_value(value))
-            else:
-                value, value_tokens = self._sample_column_value(name, context, rng)
-            row[name] = value
-            context.extend(value_tokens)
-            context.extend(self._separator_ids)
-        return row
-
-    # -- free sampling -------------------------------------------------------------------
-
-    def _sample_row_free(self, prompt_row: dict | None, rng: random.Random) -> dict:
-        prompt = None
-        if prompt_row:
-            prompt = self._encoder.conditional_prompt(prompt_row)
-        sentence = self._sampler.sample_valid(self._decoder.is_valid, prompt=prompt)
-        if sentence is not None:
-            return self._decoder.decode_row(sentence)
-        if not self.config.fallback_to_training_rows:
-            raise RuntimeError("generation failed to produce a valid row within the retry budget")
-        fallback = self._training_table.row(rng.randrange(self._training_table.num_rows))
-        if prompt_row:
-            fallback = dict(fallback)
-            fallback.update(prompt_row)
-        return fallback
-
-    # -- batched sampling ---------------------------------------------------------------
-
     def _encode_value_tokens(self, value) -> list[int]:
-        cached = self._value_token_cache.get(value)
+        # keyed by type too: 1, 1.0 and True hash alike but render differently
+        key = (type(value), value)
+        cached = self._value_token_cache.get(key)
         if cached is not None:
             return cached
         vocab = self._model.tokenizer.vocabulary
         tokens = [vocab.encode_token(tok)
                   for tok in self._model.tokenizer.tokenize(self._encoder.encode_value(value))]
         tokens = tokens or [vocab.unk_id]
-        self._value_token_cache[value] = tokens
+        self._value_token_cache[key] = tokens
         return tokens
 
-    def _sample_rows_guided_batch(self, prompts: list[dict | None], seed: int,
-                                  max_lanes: int | None = None) -> list[dict]:
-        """Guided strategy over a whole batch: one engine session per chunk,
-        one vectorized candidate draw per column."""
+    def sample_guided_columns(self, session: GuidedBatchSession,
+                              prompts: Sequence[dict | None],
+                              groups: Sequence[tuple]) -> list[list]:
+        """Walk every column over *session*; returns one value list per column.
+
+        *prompts* holds one entry per lane: ``None`` or a dict of the values
+        that lane fixes.  *groups* are the ``(lanes, rng)`` draw groups of
+        :meth:`GuidedBatchSession.choose`.  Per column, the groups that hold
+        a lane not fixing it draw in one ``choose`` call (if the column has
+        more than one candidate); drawn lanes take the candidate's tokens and
+        fixed lanes their own value's, and one ``extend_rows`` appends both.
+        """
+        self._require_fitted()
+        n_lanes = len(prompts)
+        fixed: dict[str, list[int]] = {}
+        for lane, prompt in enumerate(prompts):
+            for name in prompt or ():
+                fixed.setdefault(name, []).append(lane)
+
+        def has_free_lane(span: slice, lanes: list[int]) -> bool:
+            """Whether *span* holds a lane outside the ascending *lanes*."""
+            start, stop, _ = span.indices(n_lanes)
+            return bisect_left(lanes, stop) - bisect_left(lanes, start) < stop - start
+
+        columns = []
+        for name in self._training_table.column_names:
+            session.extend_shared(self._structure_token_ids[name])
+            candidates = self._candidate_token_ids[name]
+            lanes = fixed.get(name, [])
+            live = [(span, rng) for span, rng in groups if has_free_lane(span, lanes)]
+            if live and len(candidates) > 1:
+                picks = session.choose(candidates, groups=live)
+            else:
+                picks = np.zeros(n_lanes, dtype=np.int64)
+            tokens = candidates.tokens[picks]
+            counts = candidates.lengths[picks]
+            column = self._column_candidates[name][picks].tolist()
+            if lanes:
+                values = [prompts[lane][name] for lane in lanes]
+                rows = [self._encode_value_tokens(value) for value in values]
+                sizes = [len(row) for row in rows]
+                if max(sizes) > tokens.shape[1]:
+                    tokens = np.pad(tokens, ((0, 0), (0, max(sizes) - tokens.shape[1])))
+                stride = tokens.shape[1]
+                np.put(tokens, [lane * stride + slot for lane, size in zip(lanes, sizes)
+                                for slot in range(size)], list(chain.from_iterable(rows)))
+                counts[lanes] = sizes
+                for lane, value in zip(lanes, values):
+                    column[lane] = value
+            session.extend_rows(tokens, counts)
+            session.extend_shared(self._separator_ids)
+            columns.append(column)
+        return columns
+
+    def _sample_guided(self, prompts: list[dict | None], seed: int,
+                       max_lanes: int | None = None) -> Table:
+        """Guided strategy over a whole batch: one engine session per chunk of
+        at most ``batch_lanes`` lanes, every chunk drawing from one RNG stream."""
+        names = self._training_table.column_names
+        data = {name: [] for name in names}
         with obs.span("stage.sample", attrs={"rows": len(prompts), "strategy": "guided"}):
-            return self._sample_rows_guided_batch_inner(prompts, seed, max_lanes=max_lanes)
+            rng = np.random.default_rng([_GUIDED_STREAM, seed & SEED_MASK])
+            batch = max(1, self.config.sampler.batch_lanes)
+            if max_lanes is not None:
+                batch = max(1, min(batch, int(max_lanes)))
+            for start in range(0, len(prompts), batch):
+                chunk = prompts[start:start + batch]
+                session = self._engine.guided_session(len(chunk), rng=rng)
+                columns = self.sample_guided_columns(session, chunk,
+                                                     [(slice(0, len(chunk)), rng)])
+                for name, values in zip(names, columns):
+                    data[name].extend(values)
+        return Table(data)
 
-    def _sample_rows_guided_batch_inner(self, prompts: list[dict | None], seed: int,
-                                        max_lanes: int | None = None) -> list[dict]:
-        engine = self._engine
-        rng = np.random.default_rng([_GUIDED_STREAM, seed & SEED_MASK])
-        temperature = self.config.sampler.temperature
-        batch = max(1, self.config.sampler.batch_lanes)
-        if max_lanes is not None:
-            batch = max(1, min(batch, int(max_lanes)))
-        rows: list[dict] = []
-        for start in range(0, len(prompts), batch):
-            chunk = prompts[start:start + batch]
-            n_lanes = len(chunk)
-            session = engine.guided_session(n_lanes, rng=rng)
-            chunk_rows: list[dict] = [{} for _ in range(n_lanes)]
-            for name in self._training_table.column_names:
-                session.extend_shared(self._structure_token_ids[name])
-                candidates = self._column_candidates[name]
-                token_lists = self._candidate_token_ids[name]
-                fixed = [prompt is not None and name in prompt for prompt in chunk]
-                if all(fixed):
-                    lane_tokens = []
-                    for lane, prompt in enumerate(chunk):
-                        value = prompt[name]
-                        chunk_rows[lane][name] = value
-                        lane_tokens.append(self._encode_value_tokens(value))
-                else:
-                    indices = session.choose(token_lists, temperature=temperature)
-                    lane_tokens = []
-                    for lane, prompt in enumerate(chunk):
-                        if fixed[lane]:
-                            value = prompt[name]
-                            tokens = self._encode_value_tokens(value)
-                        else:
-                            value = candidates[int(indices[lane])]
-                            tokens = token_lists[int(indices[lane])]
-                        chunk_rows[lane][name] = value
-                        lane_tokens.append(tokens)
-                session.extend_rows(lane_tokens)
-                session.extend_shared(self._separator_ids)
-            rows.extend(chunk_rows)
-        return rows
-
-    def _sample_rows_free_batch(self, prompts: list[dict | None], seed: int,
-                                max_lanes: int | None = None) -> list[dict]:
+    def _sample_free(self, prompts: list[dict | None], seed: int,
+                     max_lanes: int | None = None) -> Table:
         """Free strategy over a whole batch: generate every lane through the
         engine's validity-retry loop, then decode and backfill fallbacks."""
         with obs.span("stage.free_sample", attrs={"rows": len(prompts), "strategy": "free"}):
-            return self._sample_rows_free_batch_inner(prompts, seed, max_lanes=max_lanes)
-
-    def _sample_rows_free_batch_inner(self, prompts: list[dict | None], seed: int,
-                                      max_lanes: int | None = None) -> list[dict]:
-        tokenizer = self._model.tokenizer
-        prompt_ids = None
-        if any(prompt for prompt in prompts):
-            prompt_texts = self._encoder.conditional_prompts(
-                [prompt or {} for prompt in prompts])
-            prompt_ids = [
-                tokenizer.encode(text, add_bos=False, add_eos=False) if prompt else []
-                for prompt, text in zip(prompts, prompt_texts)
-            ]
-        sentences = self._engine.generate_valid(
-            len(prompts), self._decoder.is_valid, prompts=prompt_ids, seed=seed,
-            max_lanes=max_lanes
-        )
-        rng = random.Random(seed)
-        rows: list[dict] = []
-        for prompt, sentence in zip(prompts, sentences):
-            if sentence is not None:
-                rows.append(self._decoder.decode_row(sentence))
-                continue
-            if not self.config.fallback_to_training_rows:
-                raise RuntimeError(
-                    "generation failed to produce a valid row within the retry budget")
-            fallback = self._training_table.row(rng.randrange(self._training_table.num_rows))
-            if prompt:
-                fallback = dict(fallback)
-                fallback.update(prompt)
-            rows.append(fallback)
-        return rows
+            tokenizer = self._model.tokenizer
+            prompt_ids = None
+            if any(prompt for prompt in prompts):
+                prompt_texts = self._encoder.conditional_prompts(
+                    [prompt or {} for prompt in prompts])
+                prompt_ids = [
+                    tokenizer.encode(text, add_bos=False, add_eos=False) if prompt else []
+                    for prompt, text in zip(prompts, prompt_texts)
+                ]
+            sentences = self._engine.generate_valid(
+                len(prompts), self._decoder.is_valid, prompts=prompt_ids, seed=seed,
+                max_lanes=max_lanes
+            )
+            rng = random.Random(seed)
+            rows: list[dict] = []
+            for prompt, sentence in zip(prompts, sentences):
+                if sentence is not None:
+                    rows.append(self._decoder.decode_row(sentence))
+                    continue
+                if not self.config.fallback_to_training_rows:
+                    raise RuntimeError(
+                        "generation failed to produce a valid row within the retry budget")
+                fallback = self._training_table.row(
+                    rng.randrange(self._training_table.num_rows))
+                if prompt:
+                    fallback = dict(fallback)
+                    fallback.update(prompt)
+                rows.append(fallback)
+        return Table.from_records(rows, columns=self._training_table.column_names)
 
     def _sample_rows_batch(self, prompts: list[dict | None], seed: int,
-                           max_lanes: int | None = None) -> list[dict]:
+                           max_lanes: int | None = None) -> Table:
         if self.config.sampling_strategy == "guided":
-            return self._sample_rows_guided_batch(prompts, seed, max_lanes=max_lanes)
-        return self._sample_rows_free_batch(prompts, seed, max_lanes=max_lanes)
+            return self._sample_guided(prompts, seed, max_lanes=max_lanes)
+        return self._sample_free(prompts, seed, max_lanes=max_lanes)
 
     # -- public sampling API ----------------------------------------------------------------
-
-    def sample_row(self, prompt_row: dict | None = None, rng: random.Random | None = None) -> dict:
-        """Sample one schema-valid row, optionally conditioned on a partial row.
-
-        The legacy per-row path, kept for incremental use; bulk sampling goes
-        through the batched engine in :meth:`sample` / :meth:`sample_conditional`.
-        """
-        self._require_fitted()
-        rng = rng or random.Random(self.config.seed)
-        if self.config.sampling_strategy == "guided":
-            return self._sample_row_guided(prompt_row, rng)
-        return self._sample_row_free(prompt_row, rng)
 
     def sample(self, n: int, seed: int | None = None,
                max_lanes: int | None = None) -> Table:
@@ -420,8 +378,7 @@ class GReaTSynthesizer:
         if n <= 0:
             raise ValueError("n must be positive")
         seed = self.config.seed if seed is None else seed
-        records = self._sample_rows_batch([None] * n, seed, max_lanes=max_lanes)
-        return Table.from_records(records, columns=self._training_table.column_names)
+        return self._sample_rows_batch([None] * n, seed, max_lanes=max_lanes)
 
     def iter_sample(self, n: int, seed: int | None = None,
                     chunk_rows: int | None = None):
@@ -440,14 +397,12 @@ class GReaTSynthesizer:
         chunk_rows = n if chunk_rows is None else int(chunk_rows)
         if chunk_rows <= 0:
             raise ValueError("chunk_rows must be positive")
-        columns = self._training_table.column_names
 
         def chunks():
             for index, start in enumerate(range(0, n, chunk_rows)):
                 count = min(chunk_rows, n - start)
-                chunk_seed = derive_seed(seed, _CHUNK_STREAM, index)
-                records = self._sample_rows_batch([None] * count, chunk_seed)
-                yield Table.from_records(records, columns=columns)
+                yield self._sample_rows_batch([None] * count,
+                                              derive_seed(seed, _CHUNK_STREAM, index))
         return chunks()
 
     def sample_chunked(self, n: int, seed: int | None = None,
@@ -462,5 +417,4 @@ class GReaTSynthesizer:
         seed = self.config.seed if seed is None else seed
         if not prompts:
             return Table.from_records([], columns=self._training_table.column_names)
-        records = self._sample_rows_batch(list(prompts), seed, max_lanes=max_lanes)
-        return Table.from_records(records, columns=self._training_table.column_names)
+        return self._sample_rows_batch(list(prompts), seed, max_lanes=max_lanes)

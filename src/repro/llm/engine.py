@@ -488,10 +488,11 @@ class BatchGenerationEngine:
 class GuidedBatchSession:
     """Column-by-column batched row sampling against a shared context buffer.
 
-    Mirrors the legacy guided strategy: the per-lane context accumulates
-    ``<bos>``, the structural 'Column:' tokens, and each chosen value, and
-    every :meth:`choose` call scores all candidate values for all lanes and
-    resolves them with a single vectorized softmax draw.
+    The per-lane context accumulates ``<bos>``, the structural 'Column:'
+    tokens and each chosen value; every :meth:`choose` call scores all
+    candidate values for all lanes and resolves them with one vectorized
+    softmax draw per draw group.  The column walk that drives a session is
+    :meth:`repro.great.synthesizer.GReaTSynthesizer.sample_guided_columns`.
     """
 
     def __init__(self, engine: BatchGenerationEngine, n_lanes: int,
@@ -502,6 +503,9 @@ class GuidedBatchSession:
         self._rng = rng
         width = engine._width
         self.n_lanes = n_lanes
+        # the gather indices of extend_rows: one row per lane, one column per slot
+        self._lane_rows = np.arange(n_lanes)[:, None]
+        self._slots = np.arange(max(width, 0))
         self.contexts = np.zeros((n_lanes, max(width, 0)), dtype=np.int64)
         self.lengths = np.zeros(n_lanes, dtype=np.int64)
         self.extend_shared([engine._bos_id])
@@ -520,66 +524,52 @@ class GuidedBatchSession:
         self.contexts[:, width - count:] = np.asarray(token_ids, dtype=np.int64)
         self.lengths = np.minimum(self.lengths + count, width)
 
-    def extend_rows(self, token_lists: Sequence[Sequence[int]]) -> None:
-        """Append a (possibly different) token sequence per lane.
+    def extend_rows(self, tokens: np.ndarray, counts: np.ndarray) -> None:
+        """Append ``tokens[lane, :counts[lane]]`` to each lane's context.
 
-        Lanes sharing a sequence are advanced together, so the cost scales
-        with the number of *distinct* sequences, not the batch size.
+        *tokens* is a padded ``(lanes, L)`` int64 matrix and *counts* the
+        per-lane token counts, each in ``[0, L]``.  The new context of a
+        lane is the window ``concat(context, tokens)[count : count + width]``,
+        taken for every lane with one gather.
         """
-        if len(token_lists) != self.n_lanes:
-            raise ValueError("token_lists must have one entry per lane")
+        tokens = np.asarray(tokens, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if tokens.ndim != 2 or tokens.shape[0] != self.n_lanes \
+                or counts.shape != (self.n_lanes,):
+            raise ValueError("extend_rows needs a (lanes, L) token matrix and one count per lane")
         width = self._engine._width
-        if width == 0:
-            return
-        lengths = {len(tokens) for tokens in token_lists}
-        if len(lengths) == 1:
-            # uniform-length fast path: one shift for the whole batch
-            count = lengths.pop()
-            if count == 0:
-                return
-            block = np.asarray(token_lists, dtype=np.int64)
-            if count >= width:
-                self.contexts[:] = block[:, count - width:]
-                self.lengths[:] = width
-                return
-            self.contexts[:, :width - count] = self.contexts[:, count:]
-            self.contexts[:, width - count:] = block
-            self.lengths = np.minimum(self.lengths + count, width)
-            return
-        groups: dict[tuple, list[int]] = {}
-        for lane, tokens in enumerate(token_lists):
-            groups.setdefault(tuple(tokens), []).append(lane)
-        for tokens, lanes in groups.items():
-            count = len(tokens)
-            if count == 0:
-                continue
-            rows = np.asarray(lanes)
-            if count >= width:
-                self.contexts[rows] = np.asarray(tokens[-width:], dtype=np.int64)
-                self.lengths[rows] = width
-                continue
-            block = self.contexts[rows]
-            block[:, :width - count] = block[:, count:]
-            block[:, width - count:] = np.asarray(tokens, dtype=np.int64)
-            self.contexts[rows] = block
-            self.lengths[rows] = np.minimum(self.lengths[rows] + count, width)
+        extended = np.concatenate([self.contexts, tokens], axis=1)
+        self.contexts = extended[self._lane_rows, counts[:, None] + self._slots]
+        self.lengths = np.minimum(self.lengths + counts, width)
 
     def choose(self, token_lists: CandidateSet | Sequence[Sequence[int]],
-               temperature: float | None = None) -> np.ndarray:
+               temperature: float | None = None,
+               groups: Sequence[tuple[slice, np.random.Generator]] | None = None
+               ) -> np.ndarray:
         """Score the candidates for every lane and draw one index per lane.
 
         Pass a :class:`CandidateSet` built once per column to reuse its
         layout and memo; a plain list of token lists is wrapped (and
         validated) on every call.
+
+        Every lane is scored once; then each ``(lanes, rng)`` pair of
+        *groups*, in order, draws the candidates of its ``lanes`` slice from
+        its own ``rng``.  Lanes no group covers get index 0.  The default is
+        one group of every lane, drawn from the session's RNG.
         """
         if not isinstance(token_lists, CandidateSet):
             token_lists = CandidateSet(token_lists)
+        picks = np.zeros(self.n_lanes, dtype=np.int64)
         if len(token_lists) == 1:
-            return np.zeros(self.n_lanes, dtype=np.int64)
+            return picks
         if temperature is None:
             temperature = self._engine.config.temperature
+        if groups is None:
+            groups = [(slice(None), self._rng)]
         scores = self._engine._score_candidates(self.contexts, self.lengths, token_lists)
-        return _choose_indices(scores, self._rng, temperature)
+        for lanes, rng in groups:
+            picks[lanes] = _choose_indices(scores[lanes], rng, temperature)
+        return picks
 
 
 # -- shared vectorized selection (identical for both backbones) -------------------------

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
-from repro.llm.engine import SCORING, _choose_indices, derive_seed
+from repro.llm.engine import SCORING, derive_seed
 from repro.obs import trace as obs
 from repro.pipelines.base import TABLE_BLOCK_STREAM, FittedPipeline, block_plan
 from repro.pipelines.multitable import FittedMultiTablePipeline
@@ -368,66 +368,33 @@ def sample_rows_batch(fitted, requests: list[RowRequest]) -> list[Table]:
     """
     batch_start_us = obs.monotonic_us()
     synth = child_synthesizer(fitted)
-    engine = synth._engine
-    temperature = synth.config.sampler.temperature
     subject = fitted.subject_column
 
-    sizes = [request.n for request in requests]
-    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    total = int(bounds[-1])
-    slices = [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(len(sizes))]
-    rngs = [np.random.default_rng([_ROWS_STREAM, derive_seed(request.seed)])
-            for request in requests]
-    prompts = [_enhanced_conditions(fitted, request) for request in requests]
+    bounds = np.zeros(len(requests) + 1, dtype=np.int64)
+    np.cumsum([request.n for request in requests], out=bounds[1:])
+    slices = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    groups = [(lanes, np.random.default_rng([_ROWS_STREAM, derive_seed(request.seed)]))
+              for lanes, request in zip(slices, requests)]
+    prompts = []
+    for request in requests:
+        prompts.extend([_enhanced_conditions(fitted, request)] * request.n)
 
-    # the session's own RNG is never drawn from — every draw below comes
-    # from the owning request's stream
-    session = engine.guided_session(total, seed=0)
-    rows: list[list[dict]] = [[{} for _ in range(n)] for n in sizes]
-    columns = synth._training_table.column_names
-    for name in columns:
-        session.extend_shared(synth._structure_token_ids[name])
-        candidates = synth._column_candidates[name]
-        token_lists = synth._candidate_token_ids[name]
-        fixed = [name in prompt for prompt in prompts]
-        scores = None
-        if len(candidates) > 1 and not all(fixed):
-            # the one batched engine pass for this column: candidate
-            # scores for every lane of every pending request at once
-            scores = engine._score_candidates(session.contexts, session.lengths,
-                                              token_lists)
-        lane_tokens: list = [None] * total
-        for index, request in enumerate(requests):
-            window = slices[index]
-            request_rows = rows[index]
-            if fixed[index]:
-                value = prompts[index][name]
-                tokens = synth._encode_value_tokens(value)
-                picks = None
-            elif len(candidates) == 1:
-                value, tokens, picks = candidates[0], token_lists[0], None
-            else:
-                picks = _choose_indices(scores[window], rngs[index], temperature)
-            for offset in range(window.stop - window.start):
-                if picks is not None:
-                    choice = int(picks[offset])
-                    value, tokens = candidates[choice], token_lists[choice]
-                request_rows[offset][name] = value
-                lane_tokens[window.start + offset] = tokens
-        session.extend_rows(lane_tokens)
-        session.extend_shared(synth._separator_ids)
+    # every draw comes from the owning request's group; the session's own
+    # RNG is never drawn from
+    session = synth.engine.guided_session(len(prompts), seed=0)
+    columns = synth.sample_guided_columns(session, prompts, groups)
 
     tables = []
-    for request_rows in rows:
-        table = Table.from_records(request_rows, columns=columns)
+    for lanes in slices:
+        table = Table({name: values[lanes]
+                       for name, values in zip(synth.training_columns, columns)})
         table = fitted.enhancer.inverse_transform(table)
         if subject in table.column_names:
             table = table.drop(subject)
         tables.append(table)
     obs.emit_span("service.rows_batch", obs.current_context(), batch_start_us,
                   obs.monotonic_us() - batch_start_us,
-                  attrs={"requests": len(requests), "lanes": total})
+                  attrs={"requests": len(requests), "lanes": len(prompts)})
     return tables
 
 
@@ -820,7 +787,7 @@ class SynthesisService:
                            seed: int | None) -> RowRequest:
         synth = child_synthesizer(self.fitted)
         subject = self.fitted.subject_column
-        allowed = [name for name in synth._training_table.column_names if name != subject]
+        allowed = [name for name in synth.training_columns if name != subject]
         conditions = dict(conditions or {})
         unknown = [name for name in conditions if name not in allowed]
         if unknown:

@@ -325,6 +325,95 @@ class TestGuidedScoring:
             session.choose(token_lists)
 
 
+def _reference_extend(contexts, lengths, token_lists, width):
+    """Per-lane shift: push each lane's tokens into its window one at a time."""
+    contexts, lengths = contexts.copy(), lengths.copy()
+    for lane, tokens in enumerate(token_lists):
+        for token in tokens:
+            if width == 0:
+                continue
+            contexts[lane, :-1] = contexts[lane, 1:].copy()
+            contexts[lane, -1] = token
+            lengths[lane] = min(lengths[lane] + 1, width)
+    return contexts, lengths
+
+
+@st.composite
+def _extend_cases(draw):
+    """A session of width 0-6 whose lanes sit at different fill levels (any
+    tokens left of the valid tail), and 1-3 calls of per-lane token lists of
+    0 to width + 3 tokens, padded with garbage past each lane's count."""
+    width = draw(st.integers(0, 6))
+    n_lanes = draw(st.integers(1, 8))
+    token = st.integers(0, 40)
+    contexts = np.array(draw(st.lists(st.lists(token, min_size=width, max_size=width),
+                                      min_size=n_lanes, max_size=n_lanes)),
+                        dtype=np.int64).reshape(n_lanes, width)
+    lengths = np.array(draw(st.lists(st.integers(0, width), min_size=n_lanes,
+                                     max_size=n_lanes)), dtype=np.int64)
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        token_lists = draw(st.lists(st.lists(token, max_size=width + 3),
+                                    min_size=n_lanes, max_size=n_lanes))
+        padded = max(map(len, token_lists)) + draw(st.integers(0, 2))
+        matrix = np.array(draw(st.lists(st.lists(token, min_size=padded, max_size=padded),
+                                        min_size=n_lanes, max_size=n_lanes)),
+                          dtype=np.int64).reshape(n_lanes, padded)
+        for lane, tokens in enumerate(token_lists):
+            matrix[lane, :len(tokens)] = tokens
+        calls.append((token_lists, matrix))
+    return width, contexts, lengths, calls
+
+
+class TestExtendRows:
+    @given(case=_extend_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_lane_shift(self, case):
+        width, contexts, lengths, calls = case
+        session = _scoring_engine("compiled", width + 1).guided_session(len(lengths), seed=0)
+        session.contexts, session.lengths = contexts.copy(), lengths.copy()
+        for token_lists, matrix in calls:
+            contexts, lengths = _reference_extend(contexts, lengths, token_lists, width)
+            session.extend_rows(matrix, np.array([len(t) for t in token_lists]))
+            assert np.array_equal(session.contexts, contexts)
+            assert np.array_equal(session.lengths, lengths)
+
+    @pytest.mark.parametrize("tokens, counts", [
+        (np.zeros((3, 2)), [1, 1]),      # one count short
+        (np.zeros(3), [1, 1, 1]),        # not a matrix
+        (np.zeros((2, 2)), [1, 1]),      # one lane short
+    ])
+    def test_bad_shapes_rejected(self, tokens, counts):
+        session = _scoring_engine("compiled", 4).guided_session(3, seed=0)
+        with pytest.raises(ValueError):
+            session.extend_rows(tokens, np.array(counts))
+
+
+class TestChooseGroups:
+    def test_groups_draw_their_own_lanes_from_their_own_rng(self):
+        engine = _scoring_engine("compiled", 4)
+        candidates = CandidateSet([[3, 4], [5], [6, 7, 8]])
+        session = engine.guided_session(6, seed=0)
+        session.extend_rows(np.array([[3], [5], [6], [3], [5], [6]]), np.ones(6, dtype=np.int64))
+        scores = engine._score_candidates(session.contexts, session.lengths, candidates)
+        picks = session.choose(candidates, groups=[(slice(0, 2), np.random.default_rng(1)),
+                                                   (slice(3, 6), np.random.default_rng(2))])
+        temperature = engine.config.temperature
+        assert picks[:2].tolist() == engine_module._choose_indices(
+            scores[:2], np.random.default_rng(1), temperature).tolist()
+        assert picks[2] == 0  # no group covers lane 2
+        assert picks[3:].tolist() == engine_module._choose_indices(
+            scores[3:], np.random.default_rng(2), temperature).tolist()
+
+    def test_default_group_is_every_lane_on_the_session_rng(self):
+        engine = _scoring_engine("compiled", 4)
+        candidates = CandidateSet([[3, 4], [5], [6, 7, 8]])
+        default = engine.guided_session(5, seed=9)
+        explicit = engine.guided_session(5, rng=np.random.default_rng(9))
+        assert np.array_equal(default.choose(candidates), explicit.choose(
+            candidates, groups=[(slice(0, 5), explicit._rng)]))
+
+
 def _great_config(engine, strategy="guided", temperature=0.85, seed=0):
     return GReaTConfig(
         fine_tune=FineTuneConfig(epochs=2, batches=2, model=ModelConfig(order=4)),
@@ -372,7 +461,16 @@ class TestSynthesizerEquivalence:
     def test_engine_shared_with_sampler(self, meals_table):
         """fit() must not freeze the compiled model twice."""
         synth = GReaTSynthesizer(_great_config("compiled")).fit(meals_table)
-        assert synth.engine is synth._sampler.engine
+        assert synth.engine._backbone is synth.model.compiled_model()
+
+    def test_prompt_values_equal_in_hash_keep_their_own_tokens(self):
+        """1 and True hash alike but render as "1" and "True"."""
+        table = Table({"Flag": [True, False, True, False], "Count": [1, 2, 1, 2]})
+        synth = GReaTSynthesizer(_great_config("compiled")).fit(table)
+        fresh = GReaTSynthesizer(_great_config("compiled")).fit(table)
+        ones = synth._encode_value_tokens(1)
+        assert synth._encode_value_tokens(1.0) == ones
+        assert synth._encode_value_tokens(True) == fresh._encode_value_tokens(True) != ones
 
     def test_batch_sampling_stays_on_training_support(self, meals_table):
         synth = GReaTSynthesizer(_great_config("compiled")).fit(meals_table)
