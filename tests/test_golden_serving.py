@@ -27,7 +27,6 @@ import csv
 import hashlib
 import io
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -91,10 +90,6 @@ def database_digest(database: dict) -> dict:
 
 #: the two-table pipelines besides ``greater``, pinned through ``sample_table``
 BASELINES = {"derec": DERECPipeline, "direct_flatten": DirectFlattenPipeline}
-
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def fit_bundles(directory: Path) -> dict:
@@ -171,7 +166,7 @@ def pipeline_digests(paths: dict, engine: str, scratch: Path) -> dict:
         target = scratch / "cli-{}-{}.csv".format(engine, len(extra))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([*args, "--out", str(target), *extra]) == 0
-        out[key] = file_digest(target)
+        out[key] = hashlib.sha256(target.read_bytes()).hexdigest()
     return out
 
 
@@ -185,7 +180,6 @@ def database_digests(path, scratch: Path) -> dict:
     # spill two tables, tear the next one mid-write, then resume the spill
     fitted = FittedMultiTablePipeline.load(path)
     spool = scratch / "spool-{}".format(Path(path).name)
-    shutil.rmtree(spool, ignore_errors=True)
     walk = fitted.iter_sample_database(**DATABASE, spool=spool)
     next(walk)
     next(walk)
