@@ -11,10 +11,19 @@ and compares it with ``tests/golden/serving_digests.json``:
   request names a value outside the column's candidate set;
 * ``GReaTSynthesizer.sample_conditional`` with per-lane mixed prompts over
   several engine sessions that share one RNG;
-* ``sample_table`` on the ``derec`` and ``direct_flatten`` pipelines;
+* ``sample_table`` on the ``derec`` and ``direct_flatten`` pipelines, and
+  on ``greater`` and ``direct_flatten`` fit on a larger trial where the
+  connector drops columns, so the two pipelines' digests must differ;
 * the bytes CLI ``sample --out`` writes, whole and chunked;
 * ``sample_database`` inline and on the process pool, and a resumed
   ``iter_sample_database`` spill after a torn write.
+
+CSV bytes cannot see a change of dtype, category order or missing mask.  So
+the ``iter_sample_table`` chunks, the ``sample_database`` tables and the
+``(parent, child, flat)`` triple of the ``greater`` pair synthesizer's
+``sample_all`` are also pinned by their column storage (the NPZ bytes of
+``table_to_arrays``, keys ending ``/arrays``) and their HTTP JSON
+(``table_payload``, keys ending ``/json``).
 
 A digest that changes must be justified by the change that moved it.
 Regenerate the file with ``PYTHONPATH=src python -m tests.test_golden_serving``.
@@ -48,8 +57,11 @@ from repro.pipelines.multitable import (
 )
 from repro.schema import infer_schema
 from repro.serving import ServingConfig, SynthesisService
+from repro.serving.server import table_payload
 from repro.serving.service import RowRequest, child_synthesizer
+from repro.store.bundle import npz_bytes
 from repro.store.stream import part_table_is_complete
+from repro.store.tablefmt import table_to_arrays
 
 GOLDEN = Path(__file__).parent / "golden" / "serving_digests.json"
 ENGINES = ("object", "compiled")
@@ -84,19 +96,41 @@ def csv_digest(table) -> str:
     return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
 
 
-def database_digest(database: dict) -> dict:
-    return {name: csv_digest(table) for name, table in sorted(database.items())}
+def arrays_digest(table) -> str:
+    return hashlib.sha256(npz_bytes(table_to_arrays(table))).hexdigest()
+
+
+def json_digest(table) -> str:
+    return hashlib.sha256(json.dumps(table_payload(table)).encode("utf-8")).hexdigest()
+
+
+def database_digest(database: dict, digest=csv_digest) -> dict:
+    return {name: digest(table) for name, table in sorted(database.items())}
+
+
+def storage_digests(key: str, tables: list) -> dict:
+    """The ``/arrays`` and ``/json`` digests of *tables* under *key*."""
+    return {key + "/arrays": [arrays_digest(table) for table in tables],
+            key + "/json": [json_digest(table) for table in tables]}
 
 
 #: the two-table pipelines besides ``greater``, pinned through ``sample_table``
 BASELINES = {"derec": DERECPipeline, "direct_flatten": DirectFlattenPipeline}
+#: on the smoke trial the connector finds no independent columns, so
+#: ``greater`` and ``direct_flatten`` sample alike; on this larger trial it
+#: separates two columns and the pipelines part ways
+USERS10 = {"greater": GReaTERPipeline, "direct_flatten": DirectFlattenPipeline}
+
+
+def _trial(n_users: int):
+    return generate_digix_like(DigixConfig(
+        n_tasks=2, n_users_per_task=n_users, ads_rows_per_user=(2, 3),
+        feeds_rows_per_user=(2, 3), seed=11)).trials()[0]
 
 
 def fit_bundles(directory: Path) -> dict:
     """Fit and save the smoke-size artifacts; ``(kind, engine) -> path``."""
-    trial = generate_digix_like(DigixConfig(
-        n_tasks=2, n_users_per_task=6, ads_rows_per_user=(2, 3),
-        feeds_rows_per_user=(2, 3), seed=11)).trials()[0]
+    trial, trial10 = _trial(6), _trial(10)
     retail = generate_retail_like(RetailConfig(n_customers=14, seed=5))
     graph = infer_schema(retail)
     paths = {}
@@ -111,6 +145,10 @@ def fit_bundles(directory: Path) -> dict:
         for kind, pipeline in (("greater", GReaTERPipeline), *BASELINES.items()):
             paths[kind, engine] = directory / "{}-{}".format(kind, engine)
             pipeline(config).fit(trial.ads, trial.feeds).save(paths[kind, engine])
+        for kind, pipeline in USERS10.items():
+            paths["users10/" + kind, engine] = directory / "users10-{}-{}".format(kind, engine)
+            pipeline(config).fit(trial10.ads, trial10.feeds).save(
+                paths["users10/" + kind, engine])
         multitable = MultiTableSchemaPipeline(MultiTablePipelineConfig(
             seed=0, generation_engine=engine, training_engine=engine)).fit(retail, graph)
         paths["multitable", engine] = directory / "multitable-{}".format(engine)
@@ -128,14 +166,18 @@ def table_digests(path) -> dict:
     out = {}
     with _service(path) as service:
         out["sample_table/inline"] = csv_digest(service.sample_table(**TABLE))
-        out["iter_sample_table/inline"] = [
-            csv_digest(chunk) for chunk in service.iter_sample_table(**TABLE)]
+        chunks = list(service.iter_sample_table(**TABLE))
+        out["iter_sample_table/inline"] = [csv_digest(chunk) for chunk in chunks]
+        out.update(storage_digests("iter_sample_table/inline", chunks))
         out["sample_rows_many/inline"] = [
             csv_digest(table) for table in service.sample_rows_many(list(ROW_REQUESTS))]
         out["sample_rows_many/unknown_value"] = [
             csv_digest(table)
             for table in service.sample_rows_many(list(UNKNOWN_VALUE_REQUESTS))]
-    synth = child_synthesizer(FittedPipeline.load(path))
+    fitted = FittedPipeline.load(path)
+    out.update(storage_digests("sample_all", fitted.synthesizers[0].sample_all(
+        TABLE["n"], seed=TABLE["seed"])))
+    synth = child_synthesizer(fitted)
     out["sample_conditional/mixed"] = csv_digest(
         synth.sample_conditional([dict(prompt) for prompt in CONDITIONAL_PROMPTS],
                                  **CONDITIONAL))
@@ -155,7 +197,7 @@ def table_digests(path) -> dict:
 def pipeline_digests(paths: dict, engine: str, scratch: Path) -> dict:
     """``sample_table`` of the baselines and CLI ``sample --out`` bytes."""
     out = {}
-    for kind in BASELINES:
+    for kind in (*BASELINES, *("users10/" + kind for kind in USERS10)):
         with _service(paths[kind, engine]) as service:
             out["{}/sample_table/inline".format(kind)] = csv_digest(
                 service.sample_table(**TABLE))
@@ -173,7 +215,10 @@ def pipeline_digests(paths: dict, engine: str, scratch: Path) -> dict:
 def database_digests(path, scratch: Path) -> dict:
     out = {}
     with _service(path) as service:
-        out["sample_database/inline"] = database_digest(service.sample_database(**DATABASE))
+        database = service.sample_database(**DATABASE)
+        out["sample_database/inline"] = database_digest(database)
+        out["sample_database/inline/arrays"] = database_digest(database, arrays_digest)
+        out["sample_database/inline/json"] = database_digest(database, json_digest)
     with _service(path, executor="process", shards=2) as service:
         out["sample_database/process-2"] = database_digest(
             service.sample_database(**DATABASE))
@@ -216,7 +261,7 @@ def _owned(golden: dict, test: str) -> dict:
     def owner(key: str) -> str:
         if key.startswith(("sample_database", "iter_sample_database")):
             return "database"
-        if key.startswith(("cli/", *BASELINES)):
+        if key.startswith(("cli/", "users10/", *BASELINES)):
             return "pipeline"
         return "table"
     return {key: value for key, value in golden.items() if owner(key) == test}
@@ -229,7 +274,10 @@ def test_table_digests_match_golden(bundles, golden, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_pipeline_digests_match_golden(bundles, golden, engine, tmp_path):
-    assert pipeline_digests(bundles, engine, tmp_path) == _owned(golden[engine], "pipeline")
+    digests = pipeline_digests(bundles, engine, tmp_path)
+    assert digests == _owned(golden[engine], "pipeline")
+    assert (digests["users10/greater/sample_table/inline"]
+            != digests["users10/direct_flatten/sample_table/inline"])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
