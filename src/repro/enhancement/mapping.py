@@ -118,21 +118,19 @@ class MappingSystem:
 
     def transform(self, table: Table) -> Table:
         """Forward-map every registered column of *table*."""
-        self._require_alive()
-        out = table
-        for column, mapping in self._mappings.items():
-            if column in out.column_names:
-                out = out.map_column(column, mapping.apply)
-        return out
+        return self._map_columns(table, "apply")
 
     def inverse_transform(self, table: Table) -> Table:
         """Inverse-map every registered column of *table* back to the original labels."""
+        return self._map_columns(table, "invert")
+
+    def _map_columns(self, table: Table, method: str) -> Table:
+        """One table whose registered columns are mapped by ``ColumnMapping.<method>``."""
         self._require_alive()
-        out = table
-        for column, mapping in self._mappings.items():
-            if column in out.column_names:
-                out = out.map_column(column, mapping.invert)
-        return out
+        mappings = self._mappings
+        return Table([column.map(getattr(mappings[column.name], method))
+                      if column.name in mappings else column
+                      for column in table.columns])
 
     # -- persistence & destruction ----------------------------------------------------------
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
+from repro.frame.column import Column
 from repro.frame.errors import ColumnNotFoundError
 from repro.frame.ops import value_counts
 from repro.frame.table import Table
@@ -163,30 +165,23 @@ class ParentChildSynthesizer:
                               for i in range(n_parents)]
         parent_table = parent_table.with_column(self._subject_column, synthetic_subjects)
 
-        # every parent's children ride in one conditioned mega-batch: the
-        # per-parent prompt groups are flattened, generated in a single
-        # engine pass, and re-split by parent afterwards.
+        # every parent's children ride in one conditioned mega-batch, grouped
+        # in parent order: one prompt per child row, generated in a single
+        # engine pass, so the generated columns are the child columns
         children_counts = [self._draw_children_count(rng) for _ in range(n_parents)]
-        prompts: list[dict] = []
-        for parent_row, n_children in zip(parent_table.iter_rows(), children_counts):
-            prompt = {name: parent_row[name] for name in self._parent_columns
-                      if name != self._subject_column}
-            prompts.extend([prompt] * n_children)
+        conditioning = parent_table.select([name for name in self._parent_columns
+                                            if name != self._subject_column])
+        # a parent with no column besides its key conditions on nothing
+        rows = conditioning.iter_rows() if conditioning.num_columns else repeat({})
+        prompts = [prompt for prompt, n_children in zip(rows, children_counts)
+                   for _ in range(n_children)]
         generated = self._child_synth.sample_conditional(prompts, seed=seed + 1,
                                                          max_lanes=max_lanes)
-
-        child_records = []
-        generated_rows = generated.iter_rows()
-        for subject, n_children in zip(synthetic_subjects, children_counts):
-            for _ in range(n_children):
-                row = next(generated_rows)
-                record = {self._subject_column: subject}
-                for name in self._child_columns:
-                    record[name] = row[name]
-                child_records.append(record)
-        child_table = Table.from_records(
-            child_records, columns=[self._subject_column] + self._child_columns
-        )
+        subjects = [subject for subject, n_children
+                    in zip(synthetic_subjects, children_counts)
+                    for _ in range(n_children)]
+        child_table = Table([Column(self._subject_column, subjects),
+                             *generated.select(self._child_columns).columns])
         return parent_table, child_table
 
     def sample_all(self, n_parents: int, seed: int | None = None,
@@ -204,17 +199,17 @@ class ParentChildSynthesizer:
         return parent_table, child_table, self.flatten_pair(parent_table, child_table)
 
     def flatten_pair(self, parent_table: Table, child_table: Table) -> Table:
-        """Join a sampled (parent, child) pair into the flat evaluation view."""
+        """Join a sampled (parent, child) pair into the flat evaluation view.
+
+        Each child row gathers its parent's columns by position; a sampled
+        pair lists children in parent order, so category order is kept.
+        """
         self._require_fitted()
-        parent_by_subject = {row[self._subject_column]: row for row in parent_table.iter_rows()}
-        records = []
-        for row in child_table.iter_rows():
-            parent_row = parent_by_subject[row[self._subject_column]]
-            record = dict(parent_row)
-            for name in self._child_columns:
-                record[name] = row[name]
-            records.append(record)
-        return Table.from_records(records, columns=self._parent_columns + self._child_columns)
+        subject = self._subject_column
+        position = {key: row for row, key in enumerate(parent_table.column(subject).values)}
+        rows = [position[key] for key in child_table.column(subject).values]
+        return Table([*parent_table.select(self._parent_columns).take(rows).columns,
+                      *child_table.select(self._child_columns).columns])
 
     def sample_flat(self, n_parents: int, seed: int | None = None,
                     subject_offset: int = 0, max_lanes: int | None = None) -> Table:

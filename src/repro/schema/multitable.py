@@ -171,22 +171,20 @@ class EdgeSynthesizer:
         return [rng.choice(self._children_per_parent_counts) for _ in range(n_parents)]
 
     def sample_children(self, parent_rows: list[dict], counts: list[int],
-                        seed: int) -> list[dict]:
-        """One conditioned row per child slot, flattened in parent order.
+                        seed: int) -> Table:
+        """The child feature columns, one row per child slot in parent order.
 
         ``parent_rows`` are the sampled parent feature rows; every parent's
         children ride in one conditioned mega-batch through the engine.
+        With no child slots at all the columns are empty.
         """
         prompts: list[dict] = []
         for parent_row, n_children in zip(parent_rows, counts):
             prompt = {self._prompt_names[name]: parent_row[name]
                       for name in self._parent_features}
             prompts.extend([prompt] * n_children)
-        if not prompts:
-            return []
         generated = self._synth.sample_conditional(prompts, seed=seed)
-        return [{name: row[name] for name in self._child_features}
-                for row in generated.iter_rows()]
+        return generated.select(self._child_features)
 
 
 class _SampledStore:
@@ -258,10 +256,6 @@ class _SampledStore:
         """One dict per row holding just *features* (conditioning prompts)."""
         if not features:
             return [{} for _ in range(self.num_rows(name))]
-        if self.spool is None:
-            table = self._tables[name]
-            return [{feature: row[feature] for feature in features}
-                    for row in table.iter_rows()]
         values = [self.column_values(name, feature) for feature in features]
         return [dict(zip(features, row)) for row in zip(*values)]
 
@@ -369,27 +363,25 @@ class MultiTableSynthesizer:
         features = graph.feature_columns(name)
         fk = graph.primary_parent(name)
 
-        columns: dict[str, list] = {}
         if fk is None:
             n_rows = self._resolve_root_n(name, n)
             generated = self._root_synths[name].sample(
                 n_rows, seed=derive_seed(table_seed, _VALUES_STREAM))
-            for feature in features:
-                columns[feature] = generated.column(feature).values
+            columns: dict = {}
         else:
             edge = self._edges[name]
             parent_features = graph.feature_columns(fk.parent_table)
             parent_rows = sampled.feature_rows(fk.parent_table, parent_features)
             counts = edge.draw_counts(
                 len(parent_rows), random.Random(derive_seed(table_seed, _COUNTS_STREAM)))
-            child_rows = edge.sample_children(
+            generated = edge.sample_children(
                 parent_rows, counts, seed=derive_seed(table_seed, _VALUES_STREAM))
-            n_rows = len(child_rows)
+            n_rows = sum(counts)
             parent_keys = sampled.column_values(fk.parent_table, fk.parent_column)
-            columns[fk.column] = [key for key, count in zip(parent_keys, counts)
-                                  for _ in range(count)]
-            for feature in features:
-                columns[feature] = [row[feature] for row in child_rows]
+            columns = {fk.column: [key for key, count in zip(parent_keys, counts)
+                                   for _ in range(count)]}
+        for feature in features:
+            columns[feature] = generated.column(feature)
 
         if schema.primary_key is not None:
             columns[schema.primary_key] = self._surrogate_keys(name, n_rows)

@@ -127,8 +127,8 @@ def _jsonable(value):
 def table_payload(table) -> dict:
     """The wire shape of one table: column order plus row records."""
     columns = list(table.column_names)
-    rows = [{name: _jsonable(value) for name, value in record.items()}
-            for record in table.to_records()]
+    rows = [{name: _jsonable(value) for name, value in zip(columns, row)}
+            for row in zip(*(column.values for column in table.columns))]
     return {"columns": columns, "rows": rows}
 
 

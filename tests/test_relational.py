@@ -1,6 +1,9 @@
 """Tests for contextual-variable extraction and the parent/child synthesizer."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.frame.backend import using_backend
 from repro.frame.table import Table
@@ -13,6 +16,9 @@ from repro.relational.contextual import (
     merge_contextual_parents,
 )
 from repro.relational.parent_child import ParentChildConfig, ParentChildSynthesizer
+from repro.schema.graph import ForeignKey
+from repro.schema.multitable import EdgeSynthesizer
+from repro.store.tablefmt import table_to_arrays
 
 
 def _fast_pc_config(seed=0):
@@ -217,3 +223,140 @@ class TestParentChildSynthesizer:
         parent, child, subject = parent_child
         synth = ParentChildSynthesizer(_fast_pc_config()).fit(parent, child, subject)
         assert synth.sample_flat(3, seed=8) == synth.sample_all(3, seed=8)[2]
+
+
+# -- column-gather assembly against the row-dict assembly it replaced ---------------
+
+#: cell strategies per column kind; ``None`` (and NaN for floats) is missing
+_CELLS = {
+    "int": st.integers(-3, 3),
+    "float": st.one_of(st.floats(-2, 2, allow_nan=False), st.integers(-1, 1),
+                       st.just(float("nan"))),
+    "str": st.sampled_from(["a", "b", "New York", ""]),
+    "bool": st.booleans(),
+    "mixed": st.one_of(st.integers(0, 2), st.sampled_from(["x", "y"]), st.booleans()),
+}
+
+
+def _values(draw, kind: str, n: int) -> list:
+    return draw(st.lists(st.one_of(st.none(), _CELLS[kind]), min_size=n, max_size=n))
+
+
+class _Replay:
+    """A fitted synthesizer stand-in that replays drawn values.
+
+    ``sample`` returns the drawn parent rows; ``sample_conditional`` echoes
+    the prompts and fills the child columns from a drawn pool, building its
+    table from value lists like the real synthesizer does.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def sample(self, n, seed=None, max_lanes=None):
+        return Table({name: values[:n] for name, values in self.columns.items()})
+
+    def sample_conditional(self, prompts, seed=None, max_lanes=None):
+        echoed = {name: [prompt[name] for prompt in prompts] for name in prompts[0]}
+        pool = {name: values[:len(prompts)] for name, values in self.columns.items()}
+        return Table({**echoed, **pool})
+
+
+@st.composite
+def _pair_synthesizers(draw):
+    """A pair synthesizer over replayed parents and children.
+
+    Parents have 0-3 feature columns besides the subject key; every parent
+    draws 1-4 children from the ``"match"`` distribution.
+    """
+    n_parents = draw(st.integers(1, 5))
+    kinds = sorted(_CELLS)
+    parent_kinds = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    child_kinds = draw(st.lists(st.sampled_from(kinds), max_size=3))
+    parent = {"id": ["real_{}".format(i) for i in range(n_parents)]}
+    for index, kind in enumerate(parent_kinds):
+        parent["p{}_{}".format(index, kind)] = _values(draw, kind, n_parents)
+    children = {"id": ["generated"] * (4 * n_parents)}
+    for index, kind in enumerate(child_kinds):
+        children["c{}_{}".format(index, kind)] = _values(draw, kind, 4 * n_parents)
+    synth = ParentChildSynthesizer._from_fitted_state(
+        ParentChildConfig(), _Replay(parent), _Replay(children), "id",
+        parent_columns=list(parent), child_columns=list(children)[1:],
+        children_per_subject=draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    return synth, n_parents, draw(st.integers(0, 2 ** 16)), draw(st.randoms())
+
+
+def _reference_sample(synth, n_parents: int, seed: int):
+    """``ParentChildSynthesizer.sample`` as row dicts and ``Table.from_records``."""
+    subject = synth._subject_column
+    rng = random.Random(seed)
+    parent_table = synth._parent_synth.sample(n_parents, seed=seed)
+    subjects = ["synthetic_subject_{}".format(i) for i in range(n_parents)]
+    parent_table = parent_table.with_column(subject, subjects)
+    counts = [synth._draw_children_count(rng) for _ in range(n_parents)]
+    prompts = []
+    for parent_row, n_children in zip(parent_table.iter_rows(), counts):
+        prompt = {name: parent_row[name] for name in synth._parent_columns if name != subject}
+        prompts.extend([prompt] * n_children)
+    generated = synth._child_synth.sample_conditional(prompts, seed=seed + 1).iter_rows()
+    records = []
+    for key, n_children in zip(subjects, counts):
+        for _ in range(n_children):
+            row = next(generated)
+            records.append({subject: key, **{name: row[name] for name in synth._child_columns}})
+    return parent_table, Table.from_records(records, columns=[subject] + synth._child_columns)
+
+
+def _reference_flatten(synth, parent_table, child_table):
+    """``ParentChildSynthesizer.flatten_pair`` as row dicts."""
+    subject = synth._subject_column
+    parent_by_subject = {row[subject]: row for row in parent_table.iter_rows()}
+    records = []
+    for row in child_table.iter_rows():
+        record = dict(parent_by_subject[row[subject]])
+        record.update({name: row[name] for name in synth._child_columns})
+        records.append(record)
+    return Table.from_records(records, columns=synth._parent_columns + synth._child_columns)
+
+
+def _assert_same_storage(table, expected):
+    """Equal ``table_to_arrays`` entry by entry: dtypes, categories, masks."""
+    arrays, reference = table_to_arrays(table), table_to_arrays(expected)
+    assert sorted(arrays) == sorted(reference)
+    for key, array in arrays.items():
+        assert array.dtype == reference[key].dtype, key
+        assert array.tobytes() == reference[key].tobytes(), key
+
+
+class TestColumnAssembly:
+    @pytest.mark.parametrize("backend", ["numpy", "object"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=_pair_synthesizers())
+    def test_matches_row_dict_assembly(self, backend, case):
+        synth, n_parents, seed, shuffler = case
+        with using_backend(backend):
+            parent_table, child_table, flat = synth.sample_all(n_parents, seed=seed)
+            expected_parent, expected_child = _reference_sample(synth, n_parents, seed)
+            _assert_same_storage(parent_table, expected_parent)
+            _assert_same_storage(child_table, expected_child)
+            _assert_same_storage(flat, _reference_flatten(synth, expected_parent, expected_child))
+            # children out of parent order still join to their own parent
+            order = list(range(child_table.num_rows))
+            shuffler.shuffle(order)
+            shuffled = child_table.take(order)
+            assert (synth.flatten_pair(parent_table, shuffled).to_dict()
+                    == _reference_flatten(synth, parent_table, shuffled).to_dict())
+
+    @pytest.mark.parametrize("backend", ["numpy", "object"])
+    def test_edge_without_child_slots_yields_empty_columns(self, backend):
+        """All counts 0: no prompts, and empty-dtype child feature columns."""
+        with using_backend(backend):
+            parent = Table({"pk": ["a", "b", "c"], "size": [1, 2, 1]})
+            child = Table({"fk": ["a", "a", "b"], "colour": ["red", "blue", "red"],
+                           "n": [1, 2, 3]})
+            edge = EdgeSynthesizer(_fast_pc_config().child,
+                                   ForeignKey("child", "fk", "parent", "pk"))
+            edge.fit(parent, child, parent_features=["size"], child_features=["colour", "n"])
+            children = edge.sample_children([{"size": 1}, {"size": 2}], [0, 0], seed=3)
+            assert children.dtypes() == {"colour": "empty", "n": "empty"}
+            _assert_same_storage(children, Table({"colour": [], "n": []}))
