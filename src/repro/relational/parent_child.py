@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from repro.frame.column import Column
 from repro.frame.errors import ColumnNotFoundError
@@ -169,12 +168,11 @@ class ParentChildSynthesizer:
         # in parent order: one prompt per child row, generated in a single
         # engine pass, so the generated columns are the child columns
         children_counts = [self._draw_children_count(rng) for _ in range(n_parents)]
-        conditioning = parent_table.select([name for name in self._parent_columns
-                                            if name != self._subject_column])
-        # a parent with no column besides its key conditions on nothing
-        rows = conditioning.iter_rows() if conditioning.num_columns else repeat({})
-        prompts = [prompt for prompt, n_children in zip(rows, children_counts)
-                   for _ in range(n_children)]
+        prompts: list[dict] = []
+        for parent_row, n_children in zip(parent_table.iter_rows(), children_counts):
+            prompt = {name: parent_row[name] for name in self._parent_columns
+                      if name != self._subject_column}
+            prompts.extend([prompt] * n_children)
         generated = self._child_synth.sample_conditional(prompts, seed=seed + 1,
                                                          max_lanes=max_lanes)
         subjects = [subject for subject, n_children
@@ -201,15 +199,21 @@ class ParentChildSynthesizer:
     def flatten_pair(self, parent_table: Table, child_table: Table) -> Table:
         """Join a sampled (parent, child) pair into the flat evaluation view.
 
-        Each child row gathers its parent's columns by position; a sampled
-        pair lists children in parent order, so category order is kept.
+        Each child row gathers its parent's columns by position.  A column
+        name both tables carry keeps the parent's position and the child's
+        values.  The gathered columns keep the parent table's storage (dtype
+        and category dictionary); for a sampled pair, whose children list
+        every parent in parent order, that is the storage the values alone
+        would give.
         """
         self._require_fitted()
         subject = self._subject_column
         position = {key: row for row, key in enumerate(parent_table.column(subject).values)}
-        rows = [position[key] for key in child_table.column(subject).values]
-        return Table([*parent_table.select(self._parent_columns).take(rows).columns,
-                      *child_table.select(self._child_columns).columns])
+        parents = parent_table.select(self._parent_columns).take(
+            [position[key] for key in child_table.column(subject).values])
+        return Table([child_table.column(name) if name in self._child_columns
+                      else parents.column(name)
+                      for name in dict.fromkeys(self._parent_columns + self._child_columns)])
 
     def sample_flat(self, n_parents: int, seed: int | None = None,
                     subject_offset: int = 0, max_lanes: int | None = None) -> Table:

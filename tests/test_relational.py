@@ -266,7 +266,8 @@ class _Replay:
 def _pair_synthesizers(draw):
     """A pair synthesizer over replayed parents and children.
 
-    Parents have 0-3 feature columns besides the subject key; every parent
+    Parents have 0-3 feature columns besides the subject key; the child
+    columns may reuse some parent feature names, in any order; every parent
     draws 1-4 children from the ``"match"`` distribution.
     """
     n_parents = draw(st.integers(1, 5))
@@ -276,9 +277,12 @@ def _pair_synthesizers(draw):
     parent = {"id": ["real_{}".format(i) for i in range(n_parents)]}
     for index, kind in enumerate(parent_kinds):
         parent["p{}_{}".format(index, kind)] = _values(draw, kind, n_parents)
+    child_names = ["c{}_{}".format(index, kind) for index, kind in enumerate(child_kinds)]
+    if parent_kinds:
+        child_names += draw(st.lists(st.sampled_from(list(parent)[1:]), unique=True))
     children = {"id": ["generated"] * (4 * n_parents)}
-    for index, kind in enumerate(child_kinds):
-        children["c{}_{}".format(index, kind)] = _values(draw, kind, 4 * n_parents)
+    for name in draw(st.permutations(child_names)):
+        children[name] = _values(draw, name.rsplit("_", 1)[1], 4 * n_parents)
     synth = ParentChildSynthesizer._from_fitted_state(
         ParentChildConfig(), _Replay(parent), _Replay(children), "id",
         parent_columns=list(parent), child_columns=list(children)[1:],
@@ -346,6 +350,37 @@ class TestColumnAssembly:
             shuffled = child_table.take(order)
             assert (synth.flatten_pair(parent_table, shuffled).to_dict()
                     == _reference_flatten(synth, parent_table, shuffled).to_dict())
+
+    def test_fit_with_child_keeping_parent_columns(self, membership_tables):
+        """A child table that still carries parent columns samples and flattens;
+        the shared names keep the parent's position and the child's values."""
+        visits, _, subject = membership_tables
+        parent = extract_parent_table(visits, subject).parent
+        synth = ParentChildSynthesizer(_fast_pc_config()).fit(parent, visits, subject)
+        parent_table, child_table, flat = synth.sample_all(3, seed=4)
+        extra = [name for name in visits.column_names if name not in parent.column_names]
+        assert flat.column_names == parent.column_names + extra
+        _assert_same_storage(flat, _reference_flatten(synth, parent_table, child_table))
+
+    @pytest.mark.parametrize("backend", ["numpy", "object"])
+    def test_flatten_unsampled_pair_keeps_parent_storage(self, backend):
+        """Outside a sampled pair (a childless parent, children out of parent
+        order) the gathered columns keep the parent table's storage: dtype
+        and category dictionary are not re-inferred from the values."""
+        with using_backend(backend):
+            parent = Table({"id": ["s0", "s1", "s2"], "size": [1, 2, "big"],
+                            "colour": ["red", "blue", "green"]})
+            child = Table({"id": ["s1", "s0", "s1"], "n": [3, 4, 5]})
+            synth = ParentChildSynthesizer._from_fitted_state(
+                ParentChildConfig(), None, None, "id", parent_columns=parent.column_names,
+                child_columns=["n"], children_per_subject=[1])
+            flat = synth.flatten_pair(parent, child)
+            assert flat.to_dict() == {"id": ["s1", "s0", "s1"], "size": [2, 1, 2],
+                                      "colour": ["blue", "red", "blue"], "n": [3, 4, 5]}
+            _assert_same_storage(flat.select(parent.column_names), parent.take([1, 0, 1]))
+            # the values alone would make ``size`` an int column
+            assert flat.column("size").dtype == "mixed"
+            assert Table(flat.to_dict()).column("size").dtype == "int"
 
     @pytest.mark.parametrize("backend", ["numpy", "object"])
     def test_edge_without_child_slots_yields_empty_columns(self, backend):
