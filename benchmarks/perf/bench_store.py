@@ -25,7 +25,7 @@ Measures the three things the train-once / serve-many split buys:
   (in-memory peaks grow with the table; streamed peaks must not).
   Process peak RSS is recorded alongside.  The compiled engine's per-block
   lane cap is asserted too: one small block sampled through
-  ``sample_block`` (batch width capped at the block's subject count) must
+  ``sample_block`` (draw chunks capped at the block's subject count) must
   peak at no more than ``--lane-cap-bound`` times the uncapped path;
 * **observability overhead** — the same ``sample_table`` workload with
   request tracing disabled and enabled (in-memory ring sink), interleaved
@@ -300,10 +300,13 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
             "identical_output": _sha256_file(stream_path) == _sha256_file(whole_path),
         }
     # -- lane-cap headroom: per-block buffers scale with the block ----------------------
-    # ``sample_block`` caps the engine batch width at the block's subject
-    # count; replaying the same small block through the uncapped path (the
-    # pre-cap behavior — full-fanout child-round mass buffers) must allocate
-    # measurably more, even though the capped path also pays for decoding.
+    # ``sample_block`` passes the block's subject count as ``max_lanes``,
+    # which fixes the draw chunks: each chunk's softmax draw works on a
+    # (chunk lanes, candidates) slice, while the guided session spans
+    # ``min(lanes, batch_lanes)`` lanes either way.  Replaying the same
+    # small block through the uncapped path (one draw chunk over the whole
+    # child fan-out) must allocate measurably more, even though the capped
+    # path also pays for decoding.
     fitted, _ = load_fitted_pipeline(workdir / "bundle_compiled")
     fitted.sample_block(0, chunk_rows, seed + 3)  # warm lazily-built state
     tracemalloc.start()

@@ -63,16 +63,15 @@ class CaretToAndTransform:
 
     def transform(self, table: Table) -> Table:
         """Rewrite the selected columns of *table*."""
-        out = table
-        for name in self.select_columns(table):
-            out = out.map_column(name, caret_to_and)
-        return out
+        return _map_columns(table, set(self.select_columns(table)), caret_to_and)
 
     def inverse_transform(self, table: Table) -> Table:
         """Restore the caret format on every column containing 'and'-joined lists."""
-        out = table
         names = self.columns if self.columns is not None else table.column_names
-        for name in names:
-            if name in out.column_names:
-                out = out.map_column(name, and_to_caret)
-        return out
+        return _map_columns(table, set(names), and_to_caret)
+
+
+def _map_columns(table: Table, names: set[str], func) -> Table:
+    """One table whose columns in *names* are mapped value by value by *func*."""
+    return Table([column.map(func) if column.name in names else column
+                  for column in table.columns])

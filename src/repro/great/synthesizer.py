@@ -58,6 +58,26 @@ _GUIDED_STREAM = 2
 _CHUNK_STREAM = 5
 
 
+class _UniformStream:
+    """Serves a pre-drawn uniform vector in order, in place of a generator.
+
+    ``Generator.random(a)`` then ``random(b)`` equals ``random(a + b)``, so
+    a draw group served from its slice of one pre-drawn vector gets the
+    uniforms it would have drawn from the generator directly.
+    """
+
+    def __init__(self, uniforms: np.ndarray):
+        self._uniforms = uniforms
+        self.remaining = len(uniforms)
+
+    def random(self, size: int) -> np.ndarray:
+        if size > self.remaining:
+            raise RuntimeError("a draw group asked for more uniforms than were drawn for it")
+        start = len(self._uniforms) - self.remaining
+        self.remaining -= size
+        return self._uniforms[start:start + size]
+
+
 @dataclass(frozen=True)
 class GReaTConfig:
     """Hyper-parameters of the GReaT synthesizer.
@@ -247,6 +267,34 @@ class GReaTSynthesizer:
         self._value_token_cache[key] = tokens
         return tokens
 
+    def _column_walk(self, prompts: Sequence[dict | None],
+                     groups: Sequence[tuple]) -> list[tuple[str, list[int], list[tuple]]]:
+        """Per training column: its name, the lanes whose prompt fixes it and
+        the *groups* that draw for it.
+
+        A group draws for a column that has more than one candidate when its
+        lane slice holds a lane leaving the column free.  The draw counts of
+        :meth:`_sample_guided` and the column walk both come from here.
+        """
+        n_lanes = len(prompts)
+        fixed: dict[str, list[int]] = {}
+        for lane, prompt in enumerate(prompts):
+            for name in prompt or ():
+                fixed.setdefault(name, []).append(lane)
+
+        def has_free_lane(span: slice, lanes: list[int]) -> bool:
+            """Whether *span* holds a lane outside the ascending *lanes*."""
+            start, stop, _ = span.indices(n_lanes)
+            return bisect_left(lanes, stop) - bisect_left(lanes, start) < stop - start
+
+        walk = []
+        for name in self._training_table.column_names:
+            lanes = fixed.get(name, [])
+            drawing = [] if len(self._candidate_token_ids[name]) < 2 else [
+                group for group in groups if has_free_lane(group[0], lanes)]
+            walk.append((name, lanes, drawing))
+        return walk
+
     def sample_guided_columns(self, session: GuidedBatchSession,
                               prompts: Sequence[dict | None],
                               groups: Sequence[tuple]) -> list[list]:
@@ -260,25 +308,19 @@ class GReaTSynthesizer:
         fixed lanes their own value's, and one ``extend_rows`` appends both.
         """
         self._require_fitted()
+        return self._walk_columns(session, prompts, self._column_walk(prompts, groups))
+
+    def _walk_columns(self, session: GuidedBatchSession, prompts: Sequence[dict | None],
+                      walk: list[tuple[str, list[int], list[tuple]]]) -> list[list]:
+        """The column walk of :meth:`sample_guided_columns` over a
+        :meth:`_column_walk` plan."""
         n_lanes = len(prompts)
-        fixed: dict[str, list[int]] = {}
-        for lane, prompt in enumerate(prompts):
-            for name in prompt or ():
-                fixed.setdefault(name, []).append(lane)
-
-        def has_free_lane(span: slice, lanes: list[int]) -> bool:
-            """Whether *span* holds a lane outside the ascending *lanes*."""
-            start, stop, _ = span.indices(n_lanes)
-            return bisect_left(lanes, stop) - bisect_left(lanes, start) < stop - start
-
         columns = []
-        for name in self._training_table.column_names:
+        for name, lanes, drawing in walk:
             session.extend_shared(self._structure_token_ids[name])
             candidates = self._candidate_token_ids[name]
-            lanes = fixed.get(name, [])
-            live = [(span, rng) for span, rng in groups if has_free_lane(span, lanes)]
-            if live and len(candidates) > 1:
-                picks = session.choose(candidates, groups=live)
+            if drawing:
+                picks = session.choose(candidates, groups=drawing)
             else:
                 picks = np.zeros(n_lanes, dtype=np.int64)
             tokens = candidates.tokens[picks]
@@ -303,22 +345,52 @@ class GReaTSynthesizer:
 
     def _sample_guided(self, prompts: list[dict | None], seed: int,
                        max_lanes: int | None = None) -> Table:
-        """Guided strategy over a whole batch: one engine session per chunk of
-        at most ``batch_lanes`` lanes, every chunk drawing from one RNG stream."""
+        """Guided strategy over a whole batch.
+
+        The lanes split into draw chunks of ``max_lanes`` (default and at
+        most ``batch_lanes``) that take their uniforms from one RNG stream
+        chunk after chunk, so the chunking alone fixes the output.  Whole
+        chunks, up to ``batch_lanes`` lanes, share one engine session with
+        one draw group per chunk: a chunk's uniforms (one per lane for every
+        column it draws) are drawn ahead in chunk order and served to its
+        group in column order.
+        """
         names = self._training_table.column_names
         data = {name: [] for name in names}
-        with obs.span("stage.sample", attrs={"rows": len(prompts), "strategy": "guided"}):
+        with obs.span("stage.sample", attrs={"rows": len(prompts),
+                                             "strategy": "guided"}) as sp:
             rng = np.random.default_rng([_GUIDED_STREAM, seed & SEED_MASK])
-            batch = max(1, self.config.sampler.batch_lanes)
-            if max_lanes is not None:
-                batch = max(1, min(batch, int(max_lanes)))
-            for start in range(0, len(prompts), batch):
-                chunk = prompts[start:start + batch]
-                session = self._engine.guided_session(len(chunk), rng=rng)
-                columns = self.sample_guided_columns(session, chunk,
-                                                     [(slice(0, len(chunk)), rng)])
+            width = max(1, self.config.sampler.batch_lanes)
+            chunk = width if max_lanes is None else max(1, min(width, int(max_lanes)))
+            window = width - width % chunk
+            n_sessions = n_groups = 0
+            for start in range(0, len(prompts), window):
+                lanes = prompts[start:start + window]
+                spans = [slice(lo, min(lo + chunk, len(lanes)))
+                         for lo in range(0, len(lanes), chunk)]
+                walk = self._column_walk(lanes, [(span, index)
+                                                 for index, span in enumerate(spans)])
+                # each chunk's uniforms: one per lane for every column it draws
+                draws = [0] * len(spans)
+                for _, _, drawing in walk:
+                    for span, index in drawing:
+                        draws[index] += span.stop - span.start
+                bounds = np.cumsum([0] + draws).tolist()
+                uniforms = rng.random(bounds[-1])
+                streams = [_UniformStream(uniforms[lo:hi])
+                           for lo, hi in zip(bounds[:-1], bounds[1:])]
+                session = self._engine.guided_session(len(lanes), rng=rng)
+                columns = self._walk_columns(session, lanes, [
+                    (name, fixed, [(span, streams[index]) for span, index in drawing])
+                    for name, fixed, drawing in walk])
+                if any(stream.remaining for stream in streams):
+                    raise RuntimeError("a draw group left pre-drawn uniforms unused")
                 for name, values in zip(names, columns):
                     data[name].extend(values)
+                n_sessions += 1
+                n_groups += len(spans)
+            sp.set_attr("sessions", n_sessions)
+            sp.set_attr("draw_groups", n_groups)
         return Table(data)
 
     def _sample_free(self, prompts: list[dict | None], seed: int,
@@ -368,11 +440,14 @@ class GReaTSynthesizer:
                max_lanes: int | None = None) -> Table:
         """Sample *n* unconditioned rows as a table with the training schema.
 
-        ``max_lanes`` caps the engine batch width below
-        ``config.sampler.batch_lanes`` — block-wise callers pass their block
-        size so peak memory scales with the block.  Outputs are reproducible
-        per cap (two runs at the same cap are identical); the default
-        (uncapped) draw order is unchanged.
+        ``max_lanes`` caps the draw chunk below ``config.sampler.batch_lanes``
+        — block-wise callers pass their block size.  The chunking fixes the
+        output: two runs at the same cap are identical, and the default
+        (uncapped) chunk is ``batch_lanes``.  Guided sampling runs as many
+        whole chunks as fit in ``batch_lanes`` lanes through one engine
+        session, each chunk one draw group of it, so the session width is
+        ``min(n, batch_lanes)`` whenever the cap divides ``batch_lanes``;
+        free sampling runs one engine batch per chunk.
         """
         self._require_fitted()
         if n <= 0:

@@ -64,8 +64,11 @@ SEED_MASK = 2 ** 63 - 1
 _MEMO_MAX_FLOATS = 1 << 20
 
 #: Scoring windows per ``token_masses`` call, which bounds the scratch
-#: arrays of one guided choice whatever the batch width.
-_WINDOWS_PER_CALL = 1 << 15
+#: arrays of one guided choice whatever the batch width.  Scoring a block's
+#: whole child fan-out in one session, ``1 << 15`` raised perfbench
+#: ``digix-stream``'s peak RSS by ~3.5 MB on a 2-core host; ``1 << 12``
+#: did not, at the same rows/s.
+_WINDOWS_PER_CALL = 1 << 12
 
 #: Guided-scoring counters, in the order they are reported: lanes scored,
 #: the distinct contexts among them, candidates scored afresh (memo misses
@@ -554,8 +557,9 @@ class GuidedBatchSession:
 
         Every lane is scored once; then each ``(lanes, rng)`` pair of
         *groups*, in order, draws the candidates of its ``lanes`` slice from
-        its own ``rng``.  Lanes no group covers get index 0.  The default is
-        one group of every lane, drawn from the session's RNG.
+        its own ``rng`` (anything with ``Generator.random(size)``).  Lanes
+        no group covers get index 0.  The default is one group of every
+        lane, drawn from the session's RNG.
         """
         if not isinstance(token_lists, CandidateSet):
             token_lists = CandidateSet(token_lists)

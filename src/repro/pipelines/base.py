@@ -180,10 +180,11 @@ class FittedPipeline:
         to the same table.  Subject keys are numbered from ``start`` so
         block outputs are globally consistent.
 
-        The engine batch width is capped at ``count`` subjects: the child
-        round fans out to one lane per child row, which would otherwise
-        allocate full ``batch_lanes``-wide mass buffers however small the
-        block — the streaming path's peak now scales with the block size.
+        The draw chunk is capped at ``count`` lanes (``max_lanes``), which
+        fixes the block's output.  The child round fans out to one lane per
+        child row; guided sampling draws those chunks as groups of one
+        session of up to ``batch_lanes`` lanes, so a block scores its whole
+        fan-out together while each chunk's draw stays block-sized.
         """
         with obs.span("stage.generate", attrs={"start": start, "count": count}):
             if len(self.synthesizers) == 2:

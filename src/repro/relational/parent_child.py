@@ -146,10 +146,11 @@ class ParentChildSynthesizer:
         one-to-many structure of the training data.  ``subject_offset``
         shifts the synthetic subject numbering, so independently seeded
         blocks (the serving layer's sharding unit) produce globally unique,
-        position-stable keys.  ``max_lanes`` caps the engine batch width for
-        both rounds — the child prompts fan out to one lane per child row,
-        which would otherwise run full ``batch_lanes``-wide batches however
-        small the block.
+        position-stable keys.  ``max_lanes`` caps the draw chunk of both
+        rounds (see :meth:`GReaTSynthesizer.sample`), and so fixes the
+        output; the child prompts fan out to one lane per child row, and
+        guided sampling runs those chunks as draw groups of sessions up to
+        ``batch_lanes`` lanes wide.
         """
         self._require_fitted()
         if n_parents <= 0:

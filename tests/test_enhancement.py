@@ -15,7 +15,9 @@ from repro.enhancement.understandability import (
     UnderstandabilityTransform,
     default_digix_semantic_mappings,
 )
+from repro.frame.backend import using_backend
 from repro.frame.table import Table
+from repro.store.tablefmt import table_to_arrays
 
 
 class TestUniqueNameGenerator:
@@ -169,6 +171,15 @@ class TestUnderstandabilityTransform:
         assert system.guarantees_differentiability()
 
 
+def _assert_same_storage(table, expected):
+    """Equal ``table_to_arrays`` entry by entry: dtypes, categories, masks."""
+    arrays, reference = table_to_arrays(table), table_to_arrays(expected)
+    assert sorted(arrays) == sorted(reference)
+    for key, array in arrays.items():
+        assert array.dtype == reference[key].dtype, key
+        assert array.tobytes() == reference[key].tobytes(), key
+
+
 class TestCaretToAnd:
     def test_value_rewrite(self):
         assert caret_to_and("20^35^42^15^5") == "20 and 35 and 42 and 15 and 5"
@@ -198,6 +209,36 @@ class TestCaretToAnd:
     def test_explicit_missing_column_rejected(self):
         with pytest.raises(KeyError):
             CaretToAndTransform(columns=("missing",)).select_columns(Table({"a": [1]}))
+
+    @pytest.mark.parametrize("backend", ["numpy", "object"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_one_table_matches_per_column_path(self, backend, data):
+        """Both directions equal mapping one column after another with
+        ``Table.map_column``, in storage as well as in values."""
+        cell = st.one_of(st.none(), st.integers(-3, 3),
+                         st.sampled_from(["1^2", "3^ 4^", "^", "a and b", "x", "5 and 6^7"]))
+        n_rows = data.draw(st.integers(1, 5))
+        names = data.draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4,
+                                   unique=True))
+        columns = {name: data.draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+                   for name in names}
+        chosen = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(names),
+                                                         min_size=1, max_size=3)))
+        transform = CaretToAndTransform(columns=None if chosen is None else tuple(chosen))
+        # the inverse skips listed names the table lacks
+        inverse_names = data.draw(st.one_of(st.none(), st.just(tuple(names) + ("absent",))))
+        inverse = CaretToAndTransform(columns=inverse_names)
+        with using_backend(backend):
+            table = Table(columns)
+            expected = table
+            for name in transform.select_columns(table):
+                expected = expected.map_column(name, caret_to_and)
+            _assert_same_storage(transform.transform(table), expected)
+            restored = expected
+            for name in names:  # every name of the table, either way
+                restored = restored.map_column(name, and_to_caret)
+            _assert_same_storage(inverse.inverse_transform(expected), restored)
 
 
 class TestDataSemanticEnhancer:

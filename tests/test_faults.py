@@ -540,7 +540,10 @@ class TestBreaker:
 
 class TestDrain:
     def test_draining_server_rejects_with_retry_after(self, bundle):
-        with _service(bundle) as service:
+        # the worker holds the first task for 2 s, so the request is still
+        # in flight while the drain is checked, however fast sampling is
+        with _service(bundle, executor="process", shards=1,
+                      faults="task_hang@1=2") as service:
             with _running_server(service) as (server, loop):
                 from concurrent.futures import ThreadPoolExecutor
 

@@ -1,12 +1,19 @@
 """Tests for the textual encoder/decoder and the GReaT synthesizer."""
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.frame.table import Table
-from repro.great.synthesizer import GReaTConfig, GReaTSynthesizer
+from repro.great.synthesizer import _GUIDED_STREAM, GReaTConfig, GReaTSynthesizer
+from repro.llm.engine import SEED_MASK
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig
+from repro.llm.sampler import SamplerConfig
+from repro.store.tablefmt import table_to_arrays
 from repro.textenc.corpus import CorpusBuilder
 from repro.textenc.decoder import DecodeError, TextualDecoder
 from repro.textenc.encoder import EncoderConfig, TextualEncoder
@@ -206,3 +213,98 @@ def test_encoder_decoder_round_trip_property(lunches, genres):
     decoder = TextualDecoder.for_table(table)
     for row in table.iter_rows():
         assert decoder.decode_row(encoder.encode_row(row, columns=table.column_names)) == row
+
+
+# -- guided sessions: draw chunks as groups of one session ------------------------------
+
+_GUIDED_TABLE = {
+    "Name": ["Grace", "Yin", "Anson", "Maya", "Leo", "Iris"],
+    "Lunch": ["Rice", "Spaghetti", "Rice", "Noodles", "Spaghetti", "Rice"],
+    "Kind": ["meal"] * 6,  # a single candidate: never drawn
+    "Dinner": ["Steak", "Chicken", "Curry", "Steak", "Chicken", "Curry"],
+    "Rating": [5, 4, 3, 5, 4, 3],
+}
+
+
+@lru_cache(maxsize=None)
+def _guided_synth(engine: str, batch_lanes: int) -> GReaTSynthesizer:
+    config = GReaTConfig(
+        fine_tune=FineTuneConfig(epochs=2, batches=2, model=ModelConfig(order=4)),
+        sampler=SamplerConfig(engine=engine, batch_lanes=batch_lanes))
+    return GReaTSynthesizer(config).fit(Table(_GUIDED_TABLE))
+
+
+def _per_chunk_sessions(synth, prompts, seed, max_lanes):
+    """Reference: one session per draw chunk, chunks drawing from the stream
+    one after another (the guided table sampling before chunks shared a
+    session)."""
+    rng = np.random.default_rng([_GUIDED_STREAM, seed & SEED_MASK])
+    batch = max(1, synth.config.sampler.batch_lanes)
+    if max_lanes is not None:
+        batch = max(1, min(batch, int(max_lanes)))
+    names = synth.training_columns
+    data = {name: [] for name in names}
+    for start in range(0, len(prompts), batch):
+        chunk = prompts[start:start + batch]
+        session = synth.engine.guided_session(len(chunk), rng=rng)
+        columns = synth.sample_guided_columns(session, chunk, [(slice(0, len(chunk)), rng)])
+        for name, values in zip(names, columns):
+            data[name].extend(values)
+    return Table(data)
+
+
+@st.composite
+def _guided_cases(draw):
+    """Prompts, a lane cap and a seed.
+
+    Lanes fix any mix of columns (seen and unseen values, the
+    single-candidate column too); one chunk may fix ``Lunch`` on every
+    lane and every lane may fix ``Dinner``.
+    """
+    batch_lanes = draw(st.sampled_from([4, 5, 7]))
+    max_lanes = draw(st.one_of(st.none(), st.integers(1, batch_lanes + 2)))
+    n = draw(st.integers(1, 3 * batch_lanes + 2))
+    values = {"Lunch": ["Rice", "Noodles", "Pizza"], "Kind": ["meal", "snack"],
+              "Dinner": ["Curry", "Soup"], "Rating": [5, 3, 7]}
+    prompts = [dict(draw(st.dictionaries(st.sampled_from(sorted(values)),
+                                         st.integers(0, 2), max_size=3)))
+               for _ in range(n)]
+    prompts = [{name: values[name][pick % len(values[name])] for name, pick in prompt.items()}
+               for prompt in prompts]
+    chunk = batch_lanes if max_lanes is None else min(batch_lanes, max_lanes)
+    fixed_chunk = draw(st.one_of(st.none(), st.integers(0, (n - 1) // chunk)))
+    if fixed_chunk is not None:
+        for prompt in prompts[fixed_chunk * chunk:(fixed_chunk + 1) * chunk]:
+            prompt["Lunch"] = "Noodles"
+    if draw(st.booleans()):
+        for prompt in prompts:
+            prompt["Dinner"] = "Steak"
+    return batch_lanes, prompts, max_lanes, draw(st.integers(0, 2**32))
+
+
+class TestGuidedSessions:
+    @pytest.mark.parametrize("engine", ["object", "compiled"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_guided_cases())
+    def test_matches_one_session_per_chunk(self, engine, case):
+        batch_lanes, prompts, max_lanes, seed = case
+        synth = _guided_synth(engine, batch_lanes)
+        sampled = synth.sample_conditional(prompts, seed=seed, max_lanes=max_lanes)
+        expected = _per_chunk_sessions(synth, prompts, seed, max_lanes)
+        arrays, reference = table_to_arrays(sampled), table_to_arrays(expected)
+        assert sorted(arrays) == sorted(reference)
+        for key, array in arrays.items():
+            assert array.dtype == reference[key].dtype, key
+            assert array.tobytes() == reference[key].tobytes(), key
+
+    def test_trace_shows_sessions_and_draw_groups(self):
+        synth = _guided_synth("compiled", 5)
+        sink = obs.configure_buffered()
+        try:
+            synth.sample(12, seed=1, max_lanes=2)
+        finally:
+            obs.disable()
+        span, = [record for record in sink.drain() if record["name"] == "stage.sample"]
+        # chunks of 2 in windows of 4 lanes: 3 sessions, 6 draw groups
+        assert span["attrs"]["sessions"] == 3
+        assert span["attrs"]["draw_groups"] == 6
