@@ -306,19 +306,27 @@ def run(n_users: int, n_sample: int, requests: int, seed: int = 7,
     # ``min(lanes, batch_lanes)`` lanes either way.  Replaying the same
     # small block through the uncapped path (one draw chunk over the whole
     # child fan-out) must allocate measurably more, even though the capped
-    # path also pays for decoding.
+    # path also pays for decoding.  Each path runs once untraced first, so
+    # both traced runs replay warm: lazily built state and the score memo
+    # of the rows they sample are in place, and the peaks differ by the
+    # draw buffers, not by memo misses.
     fitted, _ = load_fitted_pipeline(workdir / "bundle_compiled")
-    fitted.sample_block(0, chunk_rows, seed + 3)  # warm lazily-built state
+
+    def _uncapped():
+        if len(fitted.synthesizers) == 2:
+            fitted._two_round_flat(chunk_rows, seed + 3, subject_offset=0)
+        else:
+            fitted.synthesizers[0].sample_flat(chunk_rows, seed=seed + 3,
+                                               subject_offset=0)
+
+    fitted.sample_block(0, chunk_rows, seed + 3)
     tracemalloc.start()
     fitted.sample_block(0, chunk_rows, seed + 3)
     _, capped_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    _uncapped()
     tracemalloc.start()
-    if len(fitted.synthesizers) == 2:
-        fitted._two_round_flat(chunk_rows, seed + 3, subject_offset=0)
-    else:
-        fitted.synthesizers[0].sample_flat(chunk_rows, seed=seed + 3,
-                                           subject_offset=0)
+    _uncapped()
     _, uncapped_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     lane_cap = {

@@ -15,6 +15,7 @@ surfaced as ``None``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,8 @@ import numpy as np
 from repro.frame.backend import (
     DTYPES,
     MISSING_VALUES,
+    CategoricalBackend,
+    NumericBackend,
     backend_from_array,
     coerce_value,
     get_default_backend,
@@ -43,6 +46,35 @@ __all__ = [
 _is_missing = is_missing
 
 
+def _check_name(name) -> None:
+    if not isinstance(name, str) or not name:
+        raise ValueError("column name must be a non-empty string")
+
+
+#: dtypes of dictionaries whose entries all have one of these exact types,
+#: which need no cleaning: none is missing or a NumPy scalar
+_PLAIN_DTYPES = {str: "str", int: "int", bool: "bool"}
+
+
+def _clean_entries(entries: list) -> tuple[list, str]:
+    """*entries* cleaned as ``Column`` cleans values, and their dtype."""
+    kinds = set(map(type, entries))
+    if len(kinds) == 1 and next(iter(kinds)) in _PLAIN_DTYPES:
+        return entries, _PLAIN_DTYPES[next(iter(kinds))]
+    cleaned = [None if is_missing(v) else coerce_value(v) for v in entries]
+    return cleaned, infer_dtype(cleaned)
+
+
+def _typed_entries(cleaned: list, np_dtype) -> np.ndarray | None:
+    """*cleaned* as an *np_dtype* array with a trailing missing slot, missing
+    entries as zero placeholders; None when a value does not fit, where
+    ``NumericBackend.from_values`` falls back to object storage."""
+    try:
+        return np.asarray([0 if v is None else v for v in cleaned] + [0], dtype=np_dtype)
+    except (OverflowError, TypeError, ValueError):
+        return None
+
+
 class Column(Sequence):
     """A named sequence of values with an inferred logical dtype.
 
@@ -53,8 +85,7 @@ class Column(Sequence):
     __slots__ = ("name", "_backend", "_dtype")
 
     def __init__(self, name: str, values: Iterable, dtype: str | None = None):
-        if not isinstance(name, str) or not name:
-            raise ValueError("column name must be a non-empty string")
+        _check_name(name)
         if dtype is not None and dtype not in DTYPES:
             raise ValueError("unknown dtype {!r}; expected one of {}".format(dtype, DTYPES))
         self.name = name
@@ -70,6 +101,57 @@ class Column(Sequence):
         cleaned = [None if is_missing(v) else coerce_value(v) for v in values]
         self._dtype = dtype or infer_dtype(cleaned)
         self._backend = make_backend(cleaned, self._dtype)
+
+    @classmethod
+    def from_codes(cls, name: str, codes: np.ndarray, dictionary: Sequence) -> "Column":
+        """The column ``Column(name, [None if c < 0 else dictionary[c] for c in codes])``.
+
+        *codes* index *dictionary* (negative means missing).  The result
+        equals the value-built column in dtype, storage, category order,
+        mask and NaN placement, but only the dictionary entries the codes
+        use are cleaned and inspected: ``infer_dtype`` depends only on the
+        kinds of values present, so it runs once over those entries, and
+        the rows are gathered from them as arrays.  Mixed entries and the
+        ``"object"`` policy take the value path.
+        """
+        _check_name(name)
+        codes = np.asarray(codes, dtype=np.int64)
+        distinct = dict.fromkeys(codes.tolist())
+        missing_code = -1 in distinct
+        distinct.pop(-1, None)
+        used = list(distinct)
+        if used and min(used) < 0:
+            codes = np.maximum(codes, -1)
+            missing_code = True
+            used = [code for code in used if code >= 0]
+        cleaned, dtype = _clean_entries([dictionary[code] for code in used])
+        numbers = None
+        if dtype in ("int", "bool"):
+            numbers = _typed_entries(cleaned, np.int64 if dtype == "int" else np.bool_)
+        if (dtype in ("mixed", "empty") or get_default_backend() == "object"
+                or (dtype in ("int", "bool") and numbers is None)):
+            return cls(name, [None if code < 0 else dictionary[code] for code in codes.tolist()])
+        # lookup[code] -> slot; code -1 reads the last slot, which no
+        # dictionary entry owns, so it holds the missing value
+        lookup = np.full(len(dictionary) + 1, -1, dtype=np.int64)
+        if dtype == "str":
+            # equal entries share one category, in first-seen row order
+            index: dict = {}
+            lookup[used] = [-1 if value is None else index.setdefault(value, len(index))
+                            for value in cleaned]
+            return cls._from_backend(
+                name, CategoricalBackend(lookup[codes], list(index), index), dtype)
+        lookup[-1] = len(used)
+        lookup[used] = range(len(used))
+        slots = lookup[codes]
+        if dtype == "float":
+            table = np.asarray([math.nan if v is None else v for v in cleaned] + [math.nan],
+                               dtype=np.float64)
+            return cls._from_backend(name, NumericBackend(table[slots]), dtype)
+        mask = None
+        if missing_code or None in cleaned:
+            mask = np.asarray([v is not None for v in cleaned] + [False], dtype=bool)[slots]
+        return cls._from_backend(name, NumericBackend(numbers[slots], mask), dtype)
 
     @classmethod
     def _from_backend(cls, name: str, backend, dtype: str) -> "Column":
@@ -159,8 +241,22 @@ class Column(Sequence):
         return Column._from_backend(name, self._backend, self._dtype)
 
     def map(self, func) -> "Column":
-        """Return a new column with *func* applied to every value."""
-        return Column(self.name, [func(v) for v in self])
+        """Return a new column with *func* applied to every value.
+
+        On dictionary-encoded storage *func* runs once per category in use
+        (and once on ``None`` when values are missing) and the result is
+        built from the codes with :meth:`from_codes`.
+        """
+        backend = self._backend
+        if not isinstance(backend, CategoricalBackend):
+            return Column(self.name, [func(v) for v in self])
+        codes, categories = backend.factorize()
+        mapped = [func(v) for v in categories]
+        missing = codes < 0
+        if missing.any():
+            mapped.append(func(None))
+            codes = np.where(missing, len(categories), codes)
+        return Column.from_codes(self.name, codes, mapped)
 
     def astype(self, dtype: str) -> "Column":
         """Cast the column values to the requested logical dtype.
@@ -236,8 +332,6 @@ class Column(Sequence):
         Treat the result as read-only.  Raises ``TypeError`` on non-numeric
         columns — use :meth:`codes` for those.
         """
-        from repro.frame.backend import NumericBackend
-
         if isinstance(self._backend, NumericBackend):
             if self._backend.mask is None:
                 return self._backend.data
@@ -269,8 +363,6 @@ class Column(Sequence):
 
         *value* must already be normalised: missing is spelled ``None``.
         """
-        from repro.frame.backend import CategoricalBackend, NumericBackend
-
         backend = self._backend
         if isinstance(backend, NumericBackend):
             if value is None:
@@ -298,8 +390,6 @@ class Column(Sequence):
 
         *allowed* must already be normalised: missing is spelled ``None``.
         """
-        from repro.frame.backend import CategoricalBackend, NumericBackend
-
         backend = self._backend
         include_missing = None in allowed
         if isinstance(backend, NumericBackend):
@@ -343,8 +433,6 @@ class Column(Sequence):
         original order exactly like Python's stable sort.  Returns ``None``
         when the backend has no vectorized ordering (mixed columns).
         """
-        from repro.frame.backend import CategoricalBackend, NumericBackend
-
         backend = self._backend
         if isinstance(backend, NumericBackend):
             valid = backend.validity()

@@ -40,29 +40,37 @@ class Table:
     or from records::
 
         Table.from_records([{"name": "Grace", "lunch": 1}])
+
+    A table without columns still has a row count: *num_rows* (0 by
+    default), so ``select([])`` of an n-row table has n empty rows.  With
+    columns, *num_rows* must match their length when given.
     """
 
-    def __init__(self, columns: Mapping[str, Iterable] | Sequence[Column] | None = None):
+    def __init__(self, columns: Mapping[str, Iterable] | Sequence[Column] | None = None,
+                 *, num_rows: int | None = None):
         self._columns: "OrderedDict[str, Column]" = OrderedDict()
-        if columns is None:
-            return
-        if isinstance(columns, Mapping):
-            items = [(name, values) for name, values in columns.items()]
-        else:
-            items = [(col.name, col) for col in columns]
-        for name, values in items:
-            column = values if isinstance(values, Column) else Column(name, values)
-            if column.name != name:
-                column = column.rename(name)
-            self._add_column_checked(column)
+        # None until the first column fixes it
+        self._rows = None if num_rows is None else int(num_rows)
+        if columns is not None:
+            if isinstance(columns, Mapping):
+                items = [(name, values) for name, values in columns.items()]
+            else:
+                items = [(col.name, col) for col in columns]
+            for name, values in items:
+                column = values if isinstance(values, Column) else Column(name, values)
+                if column.name != name:
+                    column = column.rename(name)
+                self._add_column_checked(column)
+        if self._rows is None:
+            self._rows = 0
 
     def _add_column_checked(self, column: Column) -> None:
         if column.name in self._columns:
             raise DuplicateColumnError(column.name)
-        if self._columns:
-            expected = self.num_rows
-            if len(column) != expected:
-                raise LengthMismatchError(expected, len(column), name=column.name)
+        if self._rows is None:
+            self._rows = len(column)
+        elif len(column) != self._rows:
+            raise LengthMismatchError(self._rows, len(column), name=column.name)
         self._columns[column.name] = column
 
     # -- constructors -------------------------------------------------------------
@@ -98,7 +106,7 @@ class Table:
         return Table([
             Column._from_backend(name, col._backend.copy(), col.dtype)
             for name, col in self._columns.items()
-        ])
+        ], num_rows=self.num_rows)
 
     # -- introspection ------------------------------------------------------------
 
@@ -115,9 +123,7 @@ class Table:
     @property
     def num_rows(self) -> int:
         """Number of rows."""
-        if not self._columns:
-            return 0
-        return len(next(iter(self._columns.values())))
+        return self._rows
 
     @property
     def num_columns(self) -> int:
@@ -155,7 +161,7 @@ class Table:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Table):
             return NotImplemented
-        if self.column_names != other.column_names:
+        if self.column_names != other.column_names or self.num_rows != other.num_rows:
             return False
         return all(self._columns[name] == other._columns[name] for name in self._columns)
 
@@ -177,6 +183,10 @@ class Table:
 
     def iter_rows(self):
         """Yield each row as a dict, in order."""
+        if not self._columns:
+            for _ in range(self._rows):
+                yield {}
+            return
         names = self.column_names
         value_lists = [col.values for col in self._columns.values()]
         for row in zip(*value_lists):
@@ -198,7 +208,7 @@ class Table:
 
     def select(self, names: Sequence[str]) -> "Table":
         """Return a new table containing only *names*, in the given order."""
-        return Table([self.column(name) for name in names])
+        return Table([self.column(name) for name in names], num_rows=self.num_rows)
 
     def drop(self, names: Sequence[str] | str) -> "Table":
         """Return a new table without the given column(s)."""
@@ -222,7 +232,7 @@ class Table:
             )
         return Table([
             self._columns[old].rename(new) for old, new in zip(self.column_names, new_names)
-        ])
+        ], num_rows=self.num_rows)
 
     def with_column(self, name: str, values: Iterable) -> "Table":
         """Return a new table with column *name* added or replaced."""
@@ -254,7 +264,8 @@ class Table:
         """Return a new table with the rows at *indices* (in the given order)."""
         if not isinstance(indices, np.ndarray):
             indices = np.asarray(list(indices), dtype=np.intp)
-        return Table([col.take(indices) for col in self._columns.values()])
+        return Table([col.take(indices) for col in self._columns.values()],
+                     num_rows=len(indices))
 
     def filter(self, predicate) -> "Table":
         """Return the rows for which ``predicate(row_dict)`` is truthy."""

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.frame.column import Column
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
 from repro.llm.engine import (
@@ -297,8 +298,9 @@ class GReaTSynthesizer:
 
     def sample_guided_columns(self, session: GuidedBatchSession,
                               prompts: Sequence[dict | None],
-                              groups: Sequence[tuple]) -> list[list]:
-        """Walk every column over *session*; returns one value list per column.
+                              groups: Sequence[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Walk every column over *session*; returns one ``(codes, dictionary)``
+        pair per column, the input of :meth:`Column.from_codes`.
 
         *prompts* holds one entry per lane: ``None`` or a dict of the values
         that lane fixes.  *groups* are the ``(lanes, rng)`` draw groups of
@@ -306,14 +308,28 @@ class GReaTSynthesizer:
         a lane not fixing it draw in one ``choose`` call (if the column has
         more than one candidate); drawn lanes take the candidate's tokens and
         fixed lanes their own value's, and one ``extend_rows`` appends both.
+        A drawn lane's code indexes the column's candidates; a fixed lane's
+        indexes the values the prompts fix, which the dictionary lists after
+        the candidates.
         """
         self._require_fitted()
-        return self._walk_columns(session, prompts, self._column_walk(prompts, groups))
+        prompt_codes = {name: {} for name in self.training_columns}
+        codes = self._walk_columns(session, prompts, self._column_walk(prompts, groups),
+                                   prompt_codes)
+        return [(column, self._dictionary(name, prompt_codes[name]))
+                for name, column in zip(self.training_columns, codes)]
 
     def _walk_columns(self, session: GuidedBatchSession, prompts: Sequence[dict | None],
-                      walk: list[tuple[str, list[int], list[tuple]]]) -> list[list]:
+                      walk: list[tuple[str, list[int], list[tuple]]],
+                      prompt_codes: dict[str, dict]) -> list[np.ndarray]:
         """The column walk of :meth:`sample_guided_columns` over a
-        :meth:`_column_walk` plan."""
+        :meth:`_column_walk` plan: one int64 code array per column.
+
+        ``prompt_codes[name]`` maps each ``(type, value)`` a prompt fixes
+        to its code, ``len(candidates)`` onwards, and its tokens, and grows
+        with new values; keyed by type, ``1``, ``1.0`` and ``True`` stay
+        distinct.
+        """
         n_lanes = len(prompts)
         columns = []
         for name, lanes, drawing in walk:
@@ -325,10 +341,18 @@ class GReaTSynthesizer:
                 picks = np.zeros(n_lanes, dtype=np.int64)
             tokens = candidates.tokens[picks]
             counts = candidates.lengths[picks]
-            column = self._column_candidates[name][picks].tolist()
             if lanes:
-                values = [prompts[lane][name] for lane in lanes]
-                rows = [self._encode_value_tokens(value) for value in values]
+                known = prompt_codes[name]
+                fixed = []
+                for lane in lanes:
+                    value = prompts[lane][name]
+                    key = (type(value), value)
+                    entry = known.get(key)
+                    if entry is None:
+                        entry = known[key] = (len(candidates) + len(known),
+                                              self._encode_value_tokens(value))
+                    fixed.append(entry)
+                rows = [row for _, row in fixed]
                 sizes = [len(row) for row in rows]
                 if max(sizes) > tokens.shape[1]:
                     tokens = np.pad(tokens, ((0, 0), (0, max(sizes) - tokens.shape[1])))
@@ -336,12 +360,21 @@ class GReaTSynthesizer:
                 np.put(tokens, [lane * stride + slot for lane, size in zip(lanes, sizes)
                                 for slot in range(size)], list(chain.from_iterable(rows)))
                 counts[lanes] = sizes
-                for lane, value in zip(lanes, values):
-                    column[lane] = value
+                picks[lanes] = [code for code, _ in fixed]
             session.extend_rows(tokens, counts)
             session.extend_shared(self._separator_ids)
-            columns.append(column)
+            columns.append(picks)
         return columns
+
+    def _dictionary(self, name: str, prompt_codes: dict) -> np.ndarray:
+        """Column *name*'s candidates followed by the prompt values of
+        *prompt_codes*, in code order."""
+        candidates = self._column_candidates[name]
+        if not prompt_codes:
+            return candidates
+        values = np.fromiter((value for _, value in prompt_codes), dtype=object,
+                             count=len(prompt_codes))
+        return np.concatenate([candidates, values])
 
     def _sample_guided(self, prompts: list[dict | None], seed: int,
                        max_lanes: int | None = None) -> Table:
@@ -353,10 +386,12 @@ class GReaTSynthesizer:
         chunks, up to ``batch_lanes`` lanes, share one engine session with
         one draw group per chunk: a chunk's uniforms (one per lane for every
         column it draws) are drawn ahead in chunk order and served to its
-        group in column order.
+        group in column order.  Each column's codes are joined across
+        sessions and built with :meth:`Column.from_codes`.
         """
         names = self._training_table.column_names
-        data = {name: [] for name in names}
+        prompt_codes = {name: {} for name in names}
+        codes = {name: [] for name in names}
         with obs.span("stage.sample", attrs={"rows": len(prompts),
                                              "strategy": "guided"}) as sp:
             rng = np.random.default_rng([_GUIDED_STREAM, seed & SEED_MASK])
@@ -382,16 +417,18 @@ class GReaTSynthesizer:
                 session = self._engine.guided_session(len(lanes), rng=rng)
                 columns = self._walk_columns(session, lanes, [
                     (name, fixed, [(span, streams[index]) for span, index in drawing])
-                    for name, fixed, drawing in walk])
+                    for name, fixed, drawing in walk], prompt_codes)
                 if any(stream.remaining for stream in streams):
                     raise RuntimeError("a draw group left pre-drawn uniforms unused")
-                for name, values in zip(names, columns):
-                    data[name].extend(values)
+                for name, column in zip(names, columns):
+                    codes[name].append(column)
                 n_sessions += 1
                 n_groups += len(spans)
             sp.set_attr("sessions", n_sessions)
             sp.set_attr("draw_groups", n_groups)
-        return Table(data)
+        return Table([Column.from_codes(name, np.concatenate(codes[name]),
+                                        self._dictionary(name, prompt_codes[name]))
+                      for name in names])
 
     def _sample_free(self, prompts: list[dict | None], seed: int,
                      max_lanes: int | None = None) -> Table:

@@ -169,10 +169,10 @@ class ParentChildSynthesizer:
         # in parent order: one prompt per child row, generated in a single
         # engine pass, so the generated columns are the child columns
         children_counts = [self._draw_children_count(rng) for _ in range(n_parents)]
+        features = [name for name in self._parent_columns if name != self._subject_column]
         prompts: list[dict] = []
-        for parent_row, n_children in zip(parent_table.iter_rows(), children_counts):
-            prompt = {name: parent_row[name] for name in self._parent_columns
-                      if name != self._subject_column}
+        for prompt, n_children in zip(parent_table.select(features).iter_rows(),
+                                      children_counts):
             prompts.extend([prompt] * n_children)
         generated = self._child_synth.sample_conditional(prompts, seed=seed + 1,
                                                          max_lanes=max_lanes)

@@ -254,10 +254,10 @@ class _SampledStore:
 
     def feature_rows(self, name: str, features: list[str]) -> list[dict]:
         """One dict per row holding just *features* (conditioning prompts)."""
-        if not features:
-            return [{} for _ in range(self.num_rows(name))]
-        values = [self.column_values(name, feature) for feature in features]
-        return [dict(zip(features, row)) for row in zip(*values)]
+        if self.spool is None:
+            return self._tables[name].select(features).to_records()
+        return Table({feature: self.column_values(name, feature) for feature in features},
+                     num_rows=self.num_rows(name)).to_records()
 
 
 class MultiTableSynthesizer:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.frame.column import Column
 from repro.frame.ops import concat_rows
 from repro.frame.table import Table
 from repro.llm.engine import SCORING, derive_seed
@@ -386,8 +387,8 @@ def sample_rows_batch(fitted, requests: list[RowRequest]) -> list[Table]:
 
     tables = []
     for lanes in slices:
-        table = Table({name: values[lanes]
-                       for name, values in zip(synth.training_columns, columns)})
+        table = Table([Column.from_codes(name, codes[lanes], dictionary)
+                       for name, (codes, dictionary) in zip(synth.training_columns, columns)])
         table = fitted.enhancer.inverse_transform(table)
         if subject in table.column_names:
             table = table.drop(subject)

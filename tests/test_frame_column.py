@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.frame.backend import using_backend
 from repro.frame.column import Column, coerce_value, infer_dtype
+from repro.frame.table import Table
+from repro.store.tablefmt import table_to_arrays
 
 
 class TestInferDtype:
@@ -171,3 +174,120 @@ def test_value_counts_sum_to_length_property(values):
     """Property: value counts sum to the number of non-missing values."""
     counts = Column("a", values).value_counts()
     assert sum(counts.values()) == len(values)
+
+
+# -- codes to columns: from_codes and categorical map against the value path ----------
+
+_ENTRY_FAMILIES = {
+    "str": st.one_of(st.sampled_from(["a", "b", "ab", ""]),
+                     st.sampled_from(["a", "b"]).map(np.str_)),
+    "int": st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(np.int64)),
+    "float": st.one_of(st.sampled_from([0.5, -0.0, 1.0, 2.25]), st.integers(-2, 2)),
+    "bool": st.one_of(st.booleans(), st.booleans().map(np.bool_)),
+}
+#: ``1``, ``1.0`` and ``True`` compare equal but are different values
+_ANY_ENTRY = st.one_of(*_ENTRY_FAMILIES.values(), st.sampled_from([1, 1.0, True]))
+
+
+@st.composite
+def _dictionaries(draw):
+    """Entries of one kind or of any kinds, with missing entries (``None``,
+    NaN) mixed in."""
+    family = draw(st.sampled_from([*_ENTRY_FAMILIES, "any"]))
+    entry = _ANY_ENTRY if family == "any" else _ENTRY_FAMILIES[family]
+    missing = st.sampled_from([None, math.nan, np.float64("nan")])
+    return draw(st.lists(st.one_of(entry, entry, entry, missing), min_size=1, max_size=6))
+
+
+@st.composite
+def _codes_cases(draw):
+    dictionary = draw(_dictionaries())
+    codes = draw(st.lists(st.integers(-1, len(dictionary) - 1), max_size=14))
+    return np.asarray(codes, dtype=np.int64), dictionary
+
+
+def _assert_same_column(column, reference):
+    """Equal dtype, storage kind, values and ``table_to_arrays`` bytes."""
+    assert column.dtype == reference.dtype
+    assert column.backend_kind == reference.backend_kind
+    assert column.values == reference.values
+    assert [type(v) for v in column.values] == [type(v) for v in reference.values]
+    arrays = table_to_arrays(Table([column]))
+    expected = table_to_arrays(Table([reference]))
+    assert sorted(arrays) == sorted(expected)
+    for key, array in arrays.items():
+        assert array.dtype == expected[key].dtype, key
+        assert array.tobytes() == expected[key].tobytes(), key
+
+
+_POLICIES = ("auto", "object")
+
+
+class TestFromCodes:
+    @pytest.mark.parametrize("policy", _POLICIES)
+    @settings(max_examples=150, deadline=None)
+    @given(case=_codes_cases())
+    def test_matches_value_path(self, policy, case):
+        codes, dictionary = case
+        with using_backend(policy):
+            column = Column.from_codes("c", codes, dictionary)
+            reference = Column("c", [None if c < 0 else dictionary[c] for c in codes])
+        _assert_same_column(column, reference)
+
+    @pytest.mark.parametrize("dictionary", [[1, True, 1.0], [1.0, 1, 1], [True, False, 1]])
+    def test_equal_but_distinct_entries_stay_distinct(self, dictionary):
+        codes = np.asarray([2, 0, -1, 1, 0], dtype=np.int64)
+        reference = Column("c", [None if c < 0 else dictionary[c] for c in codes])
+        _assert_same_column(Column.from_codes("c", codes, dictionary), reference)
+
+    def test_category_order_is_first_seen_in_rows(self):
+        column = Column.from_codes("c", np.asarray([2, 1, 2, 0]), ["x", "y", "z"])
+        assert column.categories() == ["z", "y", "x"]
+        assert column.codes().tolist() == [0, 1, 0, 2]
+
+    def test_codes_below_minus_one_are_missing(self):
+        column = Column.from_codes("c", np.asarray([0, -3, 1]), [4, 5])
+        assert column.values == [4, None, 5]
+        assert column.validity_mask().tolist() == [True, False, True]
+
+    def test_rejects_bad_name(self):
+        with pytest.raises(ValueError):
+            Column.from_codes("", np.asarray([0]), ["a"])
+
+
+#: functions a categorical ``map`` may apply: non-injective, mapping to
+#: missing values, to mixed kinds, and giving missing rows a value
+_MAP_FUNCS = [
+    lambda v: None if v is None else len(v) % 2,
+    lambda v: math.nan if v == "a" else v,
+    lambda v: {"a": 1, "b": 1.0, "ab": True}.get(v, v),
+    lambda v: "none" if v is None else v.upper(),
+    lambda v: float(len(v)) if v else None,
+    lambda v: np.int64(7) if v == "b" else 7,
+    str,
+]
+
+
+class TestCategoricalMap:
+    @pytest.mark.parametrize("policy", _POLICIES)
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.one_of(st.none(), st.sampled_from(["a", "b", "ab", ""])),
+                           max_size=12),
+           func=st.sampled_from(_MAP_FUNCS), rows=st.data())
+    def test_matches_value_path(self, policy, values, func, rows):
+        column = Column("c", values)
+        if values and rows.draw(st.booleans()):
+            # a gathered column whose dictionary holds unused categories
+            column = column.take(rows.draw(st.lists(st.integers(0, len(values) - 1),
+                                                    max_size=8)))
+        with using_backend(policy):
+            mapped = column.map(func)
+            reference = Column("c", [func(v) for v in column])
+        _assert_same_column(mapped, reference)
+
+    def test_maps_each_category_once(self):
+        calls = []
+        column = Column("c", ["a", "b", "a", None, "b", None])
+        mapped = column.map(lambda v: calls.append(v) or v)
+        assert calls == ["a", "b", None]
+        assert mapped == column

@@ -45,6 +45,17 @@ class TestConstruction:
         with pytest.raises(DuplicateColumnError):
             Table([Column("a", [1]), Column("a", [2])])
 
+    def test_table_without_columns_has_the_given_rows(self):
+        table = Table(num_rows=3)
+        assert table.shape == (3, 0)
+        assert list(table.iter_rows()) == [{}, {}, {}]
+        assert table != Table()
+
+    def test_num_rows_must_match_the_columns(self):
+        assert Table({"a": [1, 2]}, num_rows=2).num_rows == 2
+        with pytest.raises(LengthMismatchError):
+            Table({"a": [1, 2]}, num_rows=3)
+
     def test_copy_is_independent(self, small_table):
         copied = small_table.copy()
         assert copied == small_table
@@ -101,6 +112,23 @@ class TestColumnManipulation:
     def test_drop_missing_column_raises(self, small_table):
         with pytest.raises(ColumnNotFoundError):
             small_table.drop("missing")
+
+    def test_select_nothing_keeps_the_row_count(self):
+        table = Table({"a": [1, 2]}).select([])
+        assert table.shape == (2, 0)
+        assert list(table.iter_rows()) == [{}, {}]
+        assert table.to_records() == [{}, {}]
+
+    def test_drop_every_column_keeps_the_row_count(self, small_table):
+        table = small_table.drop(small_table.column_names)
+        assert table.num_rows == small_table.num_rows == 4
+        assert list(table.iter_rows()) == [{}] * 4
+
+    def test_rows_of_a_table_without_columns(self, small_table):
+        table = small_table.select([])
+        assert table.take([0, 0, 3, 1, 2]).num_rows == 5
+        assert table.copy().num_rows == 4
+        assert table.row(3) == {}
 
     def test_rename(self, small_table):
         renamed = small_table.rename({"age": "years"})

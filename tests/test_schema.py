@@ -288,6 +288,18 @@ class TestInference:
 # multi-table synthesis
 # ---------------------------------------------------------------------------
 
+class TestSampledStore:
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_feature_rows(self, spill, tmp_path):
+        from repro.schema.multitable import _SampledStore
+
+        store = _SampledStore(spool=tmp_path / "spool" if spill else None)
+        store.put("users", Table({"id": [1, 2, 3], "city": ["x", None, "y"]}))
+        assert store.feature_rows("users", []) == [{}, {}, {}]
+        assert store.feature_rows("users", ["city"]) == [
+            {"city": "x"}, {"city": None}, {"city": "y"}]
+
+
 class TestMultiTableSynthesizer:
     def test_database_shape_and_integrity(self, fitted_synth, retail, retail_graph):
         database = fitted_synth.sample_database(seed=3)

@@ -1,18 +1,28 @@
 """Tests for the textual encoder/decoder and the GReaT synthesizer."""
 
 from functools import lru_cache
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.frame.column import Column
 from repro.frame.table import Table
 from repro.great.synthesizer import _GUIDED_STREAM, GReaTConfig, GReaTSynthesizer
-from repro.llm.engine import SEED_MASK
+from repro.llm.engine import SEED_MASK, derive_seed
 from repro.llm.finetune import FineTuneConfig
 from repro.llm.ngram_model import ModelConfig
 from repro.llm.sampler import SamplerConfig
+from repro.serving.service import (
+    _ROWS_STREAM,
+    RowRequest,
+    _enhanced_conditions,
+    child_synthesizer,
+    sample_rows_batch,
+)
 from repro.store.tablefmt import table_to_arrays
 from repro.textenc.corpus import CorpusBuilder
 from repro.textenc.decoder import DecodeError, TextualDecoder
@@ -234,10 +244,44 @@ def _guided_synth(engine: str, batch_lanes: int) -> GReaTSynthesizer:
     return GReaTSynthesizer(config).fit(Table(_GUIDED_TABLE))
 
 
+def _value_walk(synth, session, prompts, walk):
+    """Reference column walk: one value list per column, drawn lanes taking
+    their candidate's value and fixed lanes their prompt's (the walk before
+    columns were built from codes)."""
+    columns = []
+    for name, lanes, drawing in walk:
+        session.extend_shared(synth._structure_token_ids[name])
+        candidates = synth._candidate_token_ids[name]
+        if drawing:
+            picks = session.choose(candidates, groups=drawing)
+        else:
+            picks = np.zeros(len(prompts), dtype=np.int64)
+        tokens = candidates.tokens[picks]
+        counts = candidates.lengths[picks]
+        column = synth._column_candidates[name][picks].tolist()
+        if lanes:
+            values = [prompts[lane][name] for lane in lanes]
+            rows = [synth._encode_value_tokens(value) for value in values]
+            sizes = [len(row) for row in rows]
+            if max(sizes) > tokens.shape[1]:
+                tokens = np.pad(tokens, ((0, 0), (0, max(sizes) - tokens.shape[1])))
+            stride = tokens.shape[1]
+            np.put(tokens, [lane * stride + slot for lane, size in zip(lanes, sizes)
+                            for slot in range(size)], list(chain.from_iterable(rows)))
+            counts[lanes] = sizes
+            for lane, value in zip(lanes, values):
+                column[lane] = value
+        session.extend_rows(tokens, counts)
+        session.extend_shared(synth._separator_ids)
+        columns.append(column)
+    return columns
+
+
 def _per_chunk_sessions(synth, prompts, seed, max_lanes):
     """Reference: one session per draw chunk, chunks drawing from the stream
-    one after another (the guided table sampling before chunks shared a
-    session)."""
+    one after another, and the table built from value lists (the guided
+    table sampling before chunks shared a session and before columns were
+    built from codes)."""
     rng = np.random.default_rng([_GUIDED_STREAM, seed & SEED_MASK])
     batch = max(1, synth.config.sampler.batch_lanes)
     if max_lanes is not None:
@@ -247,10 +291,19 @@ def _per_chunk_sessions(synth, prompts, seed, max_lanes):
     for start in range(0, len(prompts), batch):
         chunk = prompts[start:start + batch]
         session = synth.engine.guided_session(len(chunk), rng=rng)
-        columns = synth.sample_guided_columns(session, chunk, [(slice(0, len(chunk)), rng)])
-        for name, values in zip(names, columns):
+        walk = synth._column_walk(chunk, [(slice(0, len(chunk)), rng)])
+        for name, values in zip(names, _value_walk(synth, session, chunk, walk)):
             data[name].extend(values)
     return Table(data)
+
+
+def assert_same_storage(table, reference):
+    """Equal ``table_to_arrays`` entries: names, dtypes and bytes."""
+    arrays, expected = table_to_arrays(table), table_to_arrays(reference)
+    assert sorted(arrays) == sorted(expected)
+    for key, array in arrays.items():
+        assert array.dtype == expected[key].dtype, key
+        assert array.tobytes() == expected[key].tobytes(), key
 
 
 @st.composite
@@ -259,15 +312,18 @@ def _guided_cases(draw):
 
     Lanes fix any mix of columns (seen and unseen values, the
     single-candidate column too); one chunk may fix ``Lunch`` on every
-    lane and every lane may fix ``Dinner``.
+    lane and every lane may fix ``Dinner``.  Fixed values include ones
+    equal to a candidate but of another type (``5.0``, a NumPy string),
+    ``1``, ``1.0`` and ``True`` (equal, yet distinct values) and ``None``.
     """
     batch_lanes = draw(st.sampled_from([4, 5, 7]))
     max_lanes = draw(st.one_of(st.none(), st.integers(1, batch_lanes + 2)))
     n = draw(st.integers(1, 3 * batch_lanes + 2))
-    values = {"Lunch": ["Rice", "Noodles", "Pizza"], "Kind": ["meal", "snack"],
-              "Dinner": ["Curry", "Soup"], "Rating": [5, 3, 7]}
+    values = {"Lunch": ["Rice", "Noodles", "Pizza", np.str_("Rice")],
+              "Kind": ["meal", "snack", None], "Dinner": ["Curry", "Soup"],
+              "Rating": [5, 3, 7, 1, 1.0, True, 5.0, None]}
     prompts = [dict(draw(st.dictionaries(st.sampled_from(sorted(values)),
-                                         st.integers(0, 2), max_size=3)))
+                                         st.integers(0, 7), max_size=3)))
                for _ in range(n)]
     prompts = [{name: values[name][pick % len(values[name])] for name, pick in prompt.items()}
                for prompt in prompts]
@@ -290,12 +346,7 @@ class TestGuidedSessions:
         batch_lanes, prompts, max_lanes, seed = case
         synth = _guided_synth(engine, batch_lanes)
         sampled = synth.sample_conditional(prompts, seed=seed, max_lanes=max_lanes)
-        expected = _per_chunk_sessions(synth, prompts, seed, max_lanes)
-        arrays, reference = table_to_arrays(sampled), table_to_arrays(expected)
-        assert sorted(arrays) == sorted(reference)
-        for key, array in arrays.items():
-            assert array.dtype == reference[key].dtype, key
-            assert array.tobytes() == reference[key].tobytes(), key
+        assert_same_storage(sampled, _per_chunk_sessions(synth, prompts, seed, max_lanes))
 
     def test_trace_shows_sessions_and_draw_groups(self):
         synth = _guided_synth("compiled", 5)
@@ -308,3 +359,79 @@ class TestGuidedSessions:
         # chunks of 2 in windows of 4 lanes: 3 sessions, 6 draw groups
         assert span["attrs"]["sessions"] == 3
         assert span["attrs"]["draw_groups"] == 6
+
+
+# -- codes to columns: served row batches against the value-list build --------------
+
+@lru_cache(maxsize=None)
+def _fitted_greater(engine: str):
+    from repro.connecting.connector import ConnectorConfig
+    from repro.datasets.digix import DigixConfig, generate_digix_like
+    from repro.enhancement.enhancer import EnhancerConfig
+    from repro.pipelines.config import PipelineConfig
+    from repro.pipelines.greater import GReaTERPipeline
+
+    trial = generate_digix_like(DigixConfig(
+        n_tasks=2, n_users_per_task=6, ads_rows_per_user=(2, 3),
+        feeds_rows_per_user=(2, 3), seed=11)).trials()[0]
+    config = PipelineConfig(
+        seed=0, drop_columns=("task_id",),
+        enhancer=EnhancerConfig(semantic_level="understandability", seed=0),
+        connector=ConnectorConfig(independence_method="threshold_mean",
+                                  remove_noisy_columns=False),
+        generation_engine=engine, training_engine=engine)
+    return GReaTERPipeline(config).fit(trial.ads, trial.feeds)
+
+
+def _value_map(column, func):
+    """``Column.map`` by value: *func* on every row, dtype inferred again."""
+    return Column(column.name, [func(v) for v in column])
+
+
+def _value_rows_batch(fitted, requests):
+    """Reference ``sample_rows_batch``: per-request tables from the value
+    lists of :func:`_value_walk`, inverse-mapped value by value."""
+    synth = child_synthesizer(fitted)
+    bounds = np.cumsum([0] + [request.n for request in requests]).tolist()
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    groups = [(lanes, np.random.default_rng([_ROWS_STREAM, derive_seed(request.seed)]))
+              for lanes, request in zip(slices, requests)]
+    prompts = []
+    for request in requests:
+        prompts.extend([_enhanced_conditions(fitted, request)] * request.n)
+    session = synth.engine.guided_session(len(prompts), seed=0)
+    columns = _value_walk(synth, session, prompts, synth._column_walk(prompts, groups))
+    tables = []
+    with mock.patch.object(Column, "map", _value_map):
+        for lanes in slices:
+            table = fitted.enhancer.inverse_transform(Table(
+                {name: values[lanes] for name, values in zip(synth.training_columns, columns)}))
+            if fitted.subject_column in table.column_names:
+                table = table.drop(fitted.subject_column)
+            tables.append(table)
+    return tables
+
+
+#: conditions on values that are labels, unknown (``7``) and equal to a
+#: label's code but of another type (``1.0``, ``True``)
+_ROW_BATCHES = [
+    [RowRequest(n=3, seed=5), RowRequest(n=4, conditions=(("gender", 1),), seed=6)],
+    [RowRequest(n=2, conditions=(("gender", 7),), seed=5),
+     RowRequest(n=5, conditions=(("age", 4), ("gender", 1.0)), seed=6),
+     RowRequest(n=3, conditions=(("gender", True),), seed=8),
+     RowRequest(n=6, seed=9)],
+]
+
+
+class TestCodesToColumns:
+    @pytest.mark.parametrize("engine", ["object", "compiled"])
+    @pytest.mark.parametrize("batch", range(len(_ROW_BATCHES)))
+    def test_rows_batch_matches_value_build(self, engine, batch):
+        fitted = _fitted_greater(engine)
+        requests = _ROW_BATCHES[batch]
+        tables = sample_rows_batch(fitted, requests)
+        expected = _value_rows_batch(fitted, requests)
+        assert [table.num_rows for table in tables] == [request.n for request in requests]
+        for table, reference in zip(tables, expected):
+            assert table.dtypes() == reference.dtypes()
+            assert_same_storage(table, reference)
