@@ -14,6 +14,9 @@ Injection points (each is a named counter; code at the point calls
   executing its next task (:mod:`repro.serving.workers`);
 * ``task_hang``        — a worker sleeps (default: effectively forever)
   before executing a task, simulating a wedged request;
+* ``frame_torn``       — a worker writes only the first half of a result
+  frame's bytes to its pipe and then dies (``os._exit``), like a process
+  killed in the middle of a send;
 * ``sink_oserror``     — :meth:`repro.store.stream.TableSink.write` raises
   ``OSError``, simulating a full or failing disk mid-spill;
 * ``bundle_truncated`` — :class:`repro.store.bundle.BundleReader` raises as
@@ -51,6 +54,7 @@ ENV_VAR = "REPRO_FAULTS"
 KNOWN_POINTS = frozenset({
     "worker_crash",
     "task_hang",
+    "frame_torn",
     "sink_oserror",
     "bundle_truncated",
     "stream_drop",

@@ -205,11 +205,13 @@ def concat_rows(tables: Sequence[Table]) -> Table:
     """Stack tables that share the same column set vertically.
 
     Column order follows the first table; every subsequent table must have the
-    same set of columns (order may differ).
+    same set of columns (order may differ).  Tables without columns only
+    count when every input has none: then their row counts add up.
     """
-    tables = [t for t in tables if t.num_columns > 0]
-    if not tables:
-        return Table()
+    with_columns = [t for t in tables if t.num_columns > 0]
+    if not with_columns:
+        return Table(num_rows=sum(t.num_rows for t in tables))
+    tables = with_columns
     reference = tables[0].column_names
     for table in tables[1:]:
         if sorted(table.column_names) != sorted(reference):

@@ -13,14 +13,15 @@ reporting ready.  Because every work unit's seed is
 bit-identical for any worker count and identical to the inline executor.
 
 Transport stays in the repo's pickle-free spirit: tables cross the process
-boundary as NPZ bytes through :mod:`repro.store.tablefmt`, requests as
-plain tuples of primitives.  Every worker life owns one duplex pipe and
-runs at most one task at a time: the parent keeps a single FIFO of pending
-tasks and sends the next one only to an idle worker.  One supervisor
+boundary as raw column buffers behind a small CRC-checked header
+(:func:`repro.store.tablefmt.table_to_bytes`), requests as plain tuples of
+primitives.  Every worker life owns one duplex pipe and runs at most one
+task at a time: the parent keeps a single FIFO of pending tasks and sends
+the next one only to an idle worker.  One supervisor
 thread in the parent waits on every result pipe and process sentinel at
 once; it resolves results, dispatches, and applies the failure policy.  A
-worker that dies — scripted crash or external ``kill -9`` — can only lose
-the frame on its own pipe.
+worker that dies — scripted crash, external ``kill -9``, or death halfway
+through writing a result frame — can only lose the frame on its own pipe.
 
 Failure model (see also the README's "Failure model & operations"):
 
@@ -48,15 +49,14 @@ Failure model (see also the README's "Failure model & operations"):
 
 from __future__ import annotations
 
-import io
 import multiprocessing
 import os
+import struct
 import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as connection_wait
-
-import numpy as np
+from multiprocessing.reduction import ForkingPickler
 
 from repro import faults
 from repro.llm.engine import SCORING
@@ -65,7 +65,7 @@ from repro.serving.metrics import Counter
 from repro.serving.service import (ArtifactSource, DeadlineExceeded, PoolDegraded,
                                    RowRequest, ServingConfig, ServingError,
                                    count_scoring, process_peak_rss_bytes, run_unit)
-from repro.store.tablefmt import arrays_to_table, table_to_arrays
+from repro.store.tablefmt import table_from_bytes, table_to_bytes
 
 #: Seconds a worker gets to load the bundle and report ready.
 _READY_TIMEOUT_S = 60.0
@@ -79,16 +79,20 @@ _HANG_DEFAULT_S = 3600.0
 
 
 def encode_table(table) -> bytes:
-    """Serialize a table to NPZ bytes (the columnar wire format)."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **table_to_arrays(table))
-    return buffer.getvalue()
+    """Serialize a table for the pipe: a CRC-covered header plus the raw
+    column buffers (:func:`repro.store.tablefmt.table_to_bytes`).
+
+    Workers and the pool call this and :func:`decode_table` through the
+    module at call time, and the result must stay ``bytes``:
+    ``perfbench/launcher.py`` replaces both before the pool forks to time
+    its ``ipc.*`` spans and counts ``ipc.bytes`` from ``bytes`` results.
+    """
+    return table_to_bytes(table)
 
 
 def decode_table(blob: bytes):
     """Inverse of :func:`encode_table`."""
-    with np.load(io.BytesIO(blob)) as data:
-        return arrays_to_table({key: data[key] for key in data.files})
+    return table_from_bytes(blob)
 
 
 def _encode(result):
@@ -98,6 +102,18 @@ def _encode(result):
     if isinstance(result, list):
         return [encode_table(table) for table in result]
     return encode_table(result)
+
+
+def _send_torn(conn, frame) -> None:
+    """The ``frame_torn`` fault: write the first half of the bytes
+    ``conn.send(frame)`` would write (a 4-byte big-endian length, then the
+    pickled frame), then die as if killed in the middle of the send."""
+    data = bytes(ForkingPickler.dumps(frame))
+    wire = memoryview(struct.pack("!i", len(data)) + data)
+    wire = wire[:len(wire) // 2]
+    while wire:
+        wire = wire[os.write(conn.fileno(), wire):]
+    os._exit(3)
 
 
 def _execute(fitted, method: str, payload):
@@ -179,7 +195,10 @@ def _worker_main(worker_index: int, source: ArtifactSource, config: ServingConfi
                     frame = ("done", task_id, _execute(fitted, method, payload))
             except BaseException as error:
                 frame = ("error", task_id, repr(error))
-            conn.send((*frame, _meta()))
+            frame = (*frame, _meta())
+            if faults.check("frame_torn") is not None:
+                _send_torn(conn, frame)
+            conn.send(frame)
     except (EOFError, OSError):
         return  # the parent closed its end of the pipe: the pool is shutting down
 

@@ -6,7 +6,8 @@ dictionary codes preserved bit for bit) and durable bundles for every
 fitted object in the synthesis path.  This package provides both:
 
 * :mod:`repro.store.tablefmt` — the NPZ-backed columnar table format
-  (:func:`write_table` / :func:`read_table`);
+  (:func:`write_table` / :func:`read_table`) and its raw-buffer wire form
+  (:func:`table_to_bytes` / :func:`table_from_bytes`);
 * :mod:`repro.store.bundle` — versioned single-file bundle archives for
   fitted synthesizers and whole fitted pipelines, with a manifest (format
   version, engines, seed, schema) and a content digest;
@@ -36,7 +37,9 @@ _EXPORTS = {
     "TABLE_FORMAT_VERSION": "repro.store.tablefmt",
     "arrays_to_table": "repro.store.tablefmt",
     "read_table": "repro.store.tablefmt",
+    "table_from_bytes": "repro.store.tablefmt",
     "table_to_arrays": "repro.store.tablefmt",
+    "table_to_bytes": "repro.store.tablefmt",
     "write_table": "repro.store.tablefmt",
     "BUNDLE_FORMAT_VERSION": "repro.store.bundle",
     "BundleIntegrityError": "repro.store.bundle",

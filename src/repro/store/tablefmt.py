@@ -1,4 +1,4 @@
-"""Binary columnar table format (NPZ-backed).
+"""Binary columnar table format: NPZ files and a raw-buffer wire form.
 
 CSV round-trips lose information: dtypes are re-inferred from text, the
 ``"1_000"`` class of cells is ambiguous, and dictionary encodings are
@@ -19,11 +19,29 @@ the format version, column names, logical dtypes and per-column storage, so
 the file is self-describing and the reconstruction restores the same
 backend representation bit for bit — dtypes, validity masks and dictionary
 codes included.  Writes are atomic (temp file + ``os.replace``).
+
+The same arrays also have a wire form for handing tables between
+processes, :func:`table_to_bytes` / :func:`table_from_bytes`, which skips
+the zip container.  All integers are little-endian::
+
+    magic b"RTBL" | version u16 | reserved u16 | header length u32 | CRC-32 u32
+    JSON header (one [name, dtype.str, shape, offset, length] per array)
+    zero padding to 8 bytes, then the raw array buffers, each 8-aligned
+
+The CRC covers every byte but its own four.  Decoding checks it, every
+offset and length against the blob and every dtype's kind (``b``/``i``/
+``u``/``f`` only) before it reads the buffers with ``np.frombuffer``; any
+violation raises :class:`~repro.store.codec.StoreError`.  Each array is
+copied out of the blob, so a decoded table kept in a cache does not pin
+the blob's other bytes (category strings, the JSON schema).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +57,15 @@ TABLE_FORMAT_VERSION = 1
 
 _SCHEMA_KEY = "__schema__"
 
+#: Version of the wire layout of :func:`table_to_bytes`.
+WIRE_FORMAT_VERSION = 1
+_WIRE_MAGIC = b"RTBL"
+#: magic, version, reserved, header length; the CRC-32 follows it
+_WIRE_HEAD = struct.Struct("<4sHHI")
+_WIRE_START = _WIRE_HEAD.size + 4
+_WIRE_ALIGN = 8
+_WIRE_KINDS = frozenset("biuf")
+
 # tags of the object-fallback scalar encoding
 _TAG_NONE, _TAG_BOOL, _TAG_INT, _TAG_FLOAT, _TAG_STR = 0, 1, 2, 3, 4
 
@@ -47,18 +74,25 @@ _TAG_NONE, _TAG_BOOL, _TAG_INT, _TAG_FLOAT, _TAG_STR = 0, 1, 2, 3, 4
 # string lists as UTF-8 bytes + offsets (exact for every Python str)
 # ---------------------------------------------------------------------------
 
-def _encode_strings(strings) -> tuple[np.ndarray, np.ndarray]:
-    blobs = [s.encode("utf-8") for s in strings]
-    offsets = np.zeros(len(blobs) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in blobs], out=offsets[1:])
-    payload = np.frombuffer(b"".join(blobs), dtype=np.uint8) if blobs else np.empty(0, np.uint8)
-    return payload, offsets
+def _encode_strings(strings: list) -> tuple[np.ndarray, np.ndarray]:
+    joined = "".join(strings)
+    if joined.isascii():  # one byte per character: encode once
+        raw, lengths = joined.encode("ascii"), map(len, strings)
+    else:
+        blobs = [s.encode("utf-8") for s in strings]
+        raw, lengths = b"".join(blobs), map(len, blobs)
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(lengths, np.int64, len(strings)), out=offsets[1:])
+    return np.frombuffer(raw, dtype=np.uint8), offsets
 
 
 def _decode_strings(payload: np.ndarray, offsets: np.ndarray) -> list[str]:
     raw = payload.tobytes()
     bounds = offsets.tolist()
-    return [raw[bounds[i]:bounds[i + 1]].decode("utf-8") for i in range(len(bounds) - 1)]
+    if raw.isascii():  # byte offsets are character offsets: decode once
+        text = raw.decode("ascii")
+        return [text[start:end] for start, end in zip(bounds, bounds[1:])]
+    return [raw[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +178,7 @@ def table_to_arrays(table: Table) -> dict[str, np.ndarray]:
             if backend.mask is not None:
                 arrays[prefix + "mask"] = backend.mask
         elif isinstance(backend, CategoricalBackend) and all(
-            isinstance(c, str) for c in backend.categories
+            issubclass(kind, str) for kind in set(map(type, backend.categories))
         ):
             storage = "categorical"
             arrays[prefix + "codes"] = backend.codes
@@ -193,7 +227,83 @@ def arrays_to_table(arrays: dict) -> Table:
         else:
             raise StoreError("unknown column storage {!r} in table artifact".format(storage))
         columns.append(Column._from_backend(meta["name"], backend, meta["dtype"]))
-    return Table(columns)
+    return Table(columns, num_rows=schema.get("num_rows"))
+
+
+# ---------------------------------------------------------------------------
+# wire round trip
+# ---------------------------------------------------------------------------
+
+def _aligned(size: int) -> int:
+    return size + -size % _WIRE_ALIGN
+
+
+def _padding(size: int) -> bytes:
+    return bytes(_aligned(size) - size)
+
+
+def table_to_bytes(table: Table) -> bytes:
+    """Serialize *table* to the raw-buffer wire form (see the module docs)."""
+    entries, buffers, offset = [], [], 0
+    for name, array in table_to_arrays(table).items():
+        array = np.ascontiguousarray(array)
+        entries.append([name, array.dtype.str, list(array.shape), offset, array.nbytes])
+        buffers += [array.data.cast("B"), _padding(array.nbytes)]
+        offset += array.nbytes + len(buffers[-1])
+    header = json.dumps(entries, separators=(",", ":")).encode("utf-8")
+    body = b"".join([header, _padding(_WIRE_START + len(header)), *buffers])
+    head = _WIRE_HEAD.pack(_WIRE_MAGIC, WIRE_FORMAT_VERSION, 0, len(header))
+    crc = zlib.crc32(body, zlib.crc32(head))
+    return b"".join([head, crc.to_bytes(4, "little"), body])
+
+
+def _wire_arrays(blob) -> dict:
+    """Check *blob*'s framing, CRC and header; copy out its arrays."""
+    view = memoryview(blob).cast("B")
+    size = len(view)
+    if size < _WIRE_START:
+        raise StoreError("table blob of {} bytes is shorter than its prefix".format(size))
+    magic, version, _, header_len = _WIRE_HEAD.unpack_from(view)
+    if magic != _WIRE_MAGIC:
+        raise StoreError("table blob does not start with the wire magic")
+    if not 1 <= version <= WIRE_FORMAT_VERSION:
+        raise StoreError("table blob wire version {} is not supported (newest is {})".format(
+            version, WIRE_FORMAT_VERSION))
+    crc = int.from_bytes(view[_WIRE_HEAD.size:_WIRE_START], "little")
+    if zlib.crc32(view[_WIRE_START:], zlib.crc32(view[:_WIRE_HEAD.size])) != crc:
+        raise StoreError("table blob fails its CRC-32 check")
+    header_end = _WIRE_START + header_len
+    start = _aligned(header_end)
+    if start > size:
+        raise StoreError("table blob header runs past the end of the blob")
+    arrays, end = {}, 0
+    try:
+        entries = json.loads(bytes(view[_WIRE_START:header_end]).decode("utf-8"))
+        for name, dtype_str, shape, offset, length in entries:
+            dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+            if dtype is None or dtype.kind not in _WIRE_KINDS:
+                raise StoreError("table blob array {!r} has unsupported dtype {!r}".format(
+                    name, dtype_str))
+            count = math.prod(shape)
+            if (min(shape, default=0) < 0 or min(offset, length) < 0
+                    or count * dtype.itemsize != length or start + offset + length > size):
+                raise StoreError("table blob array {!r} lies outside the blob".format(name))
+            arrays[name] = np.frombuffer(view, dtype, count, start + offset).reshape(shape).copy()
+            end = max(end, offset + length)
+    except (TypeError, ValueError) as error:  # UnicodeDecodeError and JSON errors too
+        raise StoreError("table blob header is malformed: {!r}".format(error)) from None
+    if start + _aligned(end) != size:
+        raise StoreError("table blob length does not match its header")
+    return arrays
+
+
+def table_from_bytes(blob) -> Table:
+    """Inverse of :func:`table_to_bytes`."""
+    arrays = _wire_arrays(blob)
+    try:
+        return arrays_to_table(arrays)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as error:
+        raise StoreError("table blob does not hold a valid table: {!r}".format(error)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ The properties under test mirror the failure model (see the README's
   table bit-identical to the fault-free run;
 * external ``kill -9`` of random workers while results stream back costs
   retries, not requests, and leaves the output byte-identical;
+* a worker that dies halfway through writing a result frame costs that one
+  task a retry and no other task any of its budget;
 * a wedged task misses its ``timeout_s`` deadline, fails with
   :class:`DeadlineExceeded` (HTTP 503, ``type: deadline``), and the worker
   holding it is killed and respawned; a task that misses its deadline
@@ -62,6 +64,8 @@ from repro.serving import (
     request_json,
 )
 from repro.serving.server import IncompleteStream, request_json_stream
+from repro.serving.service import run_unit
+from repro.serving.workers import encode_table
 from repro.store.bundle import BundleReader, StoreError, load_fitted_pipeline
 from repro.store.stream import CsvTableSink, PartTableSink, part_table_is_complete
 
@@ -330,6 +334,27 @@ class TestRetries:
         assert after == references[seeds[0]]
         assert len(kills) >= planned // 2
         assert stats["restarts"] >= 1 and stats["retries_exhausted"] == 0
+
+    def test_torn_result_frame_retries_only_that_task(self, bundle):
+        """Every worker life writes half of its second result frame and
+        dies.  Each torn task runs once more on a fresh life and no other
+        task is charged: with ``retries=1`` all four blocks come back, the
+        first on its first attempt and the other three on their second,
+        each byte-identical to the inline block."""
+        with _service(bundle, block_size=8) as inline:
+            blocks = inline._blocks(32, 11)
+            expected = [encode_table(run_unit(inline.fitted, "sample_block", block))
+                        for block in blocks]
+        with _service(bundle, shards=1, block_size=8, executor="process",
+                      retries=1, retry_backoff_s=0.01, breaker_threshold=0,
+                      faults="frame_torn@2") as service:
+            tasks = [service.pool.submit("sample_block", block) for block in blocks]
+            blobs = [task.result(timeout=60) for task in tasks]
+            stats = service.pool.stats()
+        assert [task.attempts for task in tasks] == [1, 2, 2, 2]
+        assert blobs == expected
+        assert stats["restarts"] == stats["tasks_retried"] == 3
+        assert stats["retries_exhausted"] == 0
 
 
 # ---------------------------------------------------------------------------

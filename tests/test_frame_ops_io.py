@@ -81,6 +81,12 @@ class TestConcatRows:
     def test_concat_empty_list(self):
         assert concat_rows([]).num_rows == 0
 
+    def test_concat_tables_without_columns_adds_their_rows(self):
+        table = Table({"a": [1, 2]}).select([])
+        combined = concat_rows([table, table, Table(num_rows=3)])
+        assert combined.num_rows == 7
+        assert combined.num_columns == 0
+
 
 class TestValueCountsAndCrosstab:
     def test_value_counts(self, left_table):

@@ -10,6 +10,9 @@ The properties under test mirror the serving guarantees:
   equal their solo results;
 * a crashed worker fails its requests with a clear error while the pool
   keeps serving;
+* every pool path moves its tables through ``workers.encode_table`` and
+  ``workers.decode_table``, looked up at call time (the perf harness wraps
+  them to time the pipe);
 * the latency metrics schema is identical in-process and over ``/stats``.
 """
 
@@ -25,8 +28,10 @@ import pytest
 from repro.cli import main
 from repro.connecting.connector import ConnectorConfig
 from repro.enhancement.enhancer import EnhancerConfig
+from repro.frame.table import Table
 from repro.pipelines.config import PipelineConfig
 from repro.pipelines.greater import GReaTERPipeline
+from repro.pipelines.multitable import MultiTablePipelineConfig, MultiTableSchemaPipeline
 from repro.serving import (
     ArtifactSource,
     LatencyHistogram,
@@ -38,6 +43,7 @@ from repro.serving import (
     WorkerPool,
     request_json,
 )
+from repro.serving import workers
 from repro.serving.server import table_payload
 from repro.serving.workers import decode_table, encode_table
 from repro.store.bundle import load_fitted_pipeline
@@ -74,6 +80,21 @@ def engine_bundle(request, trial, tmp_path_factory):
 def bundle(trial, tmp_path_factory):
     fitted = GReaTERPipeline(_config(engine="compiled")).fit(trial.ads, trial.feeds)
     path = tmp_path_factory.mktemp("bundles") / "greater"
+    fitted.save(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def database_bundle(tmp_path_factory):
+    tables = {
+        "users": Table({"user_id": ["u{}".format(i) for i in range(12)],
+                        "city": ["a", "b", "c"] * 4}),
+        "orders": Table({"order_id": ["o{}".format(i) for i in range(24)],
+                         "user_id": ["u{}".format(i % 12) for i in range(24)],
+                         "amount": [5 * (i % 7) + 3 for i in range(24)]}),
+    }
+    fitted = MultiTableSchemaPipeline(MultiTablePipelineConfig(seed=3)).fit(tables)
+    path = tmp_path_factory.mktemp("bundles") / "database"
     fitted.save(path)
     return path
 
@@ -161,6 +182,53 @@ class TestProcessPoolIdentity:
         with _service(bundle, shards=1) as service:
             table = service.sample_table(5, seed=1)
         assert decode_table(encode_table(table)) == table
+
+
+class TestIpcAttribution:
+    def test_pool_paths_go_through_the_module_codec(self, bundle, database_bundle,
+                                                   tmp_path, monkeypatch):
+        """The perf harness wraps ``workers.encode_table``/``decode_table``
+        before the pool forks and counts ``ipc.bytes`` only for a ``bytes``
+        result; a renamed or inlined codec call would silently read as zero
+        IPC there.  Counting wrappers installed the same way must see every
+        table of ``sample_blocks``, ``sample_rows_many`` and
+        ``sample_database`` pass once through each."""
+        log = tmp_path / "encoded.log"
+        encode, decode = workers.encode_table, workers.decode_table
+        decoded = []
+
+        def counting_encode(table):
+            blob = encode(table)
+            with open(log, "a") as handle:  # runs in the worker process
+                handle.write(type(blob).__name__ + "\n")
+            return blob
+
+        def counting_decode(blob):
+            decoded.append(len(blob))
+            return decode(blob)
+
+        def counts():
+            kinds = log.read_text().split() if log.exists() else []
+            assert set(kinds) <= {"bytes"}
+            return len(kinds), len(decoded)
+
+        monkeypatch.setattr(workers, "encode_table", counting_encode)
+        monkeypatch.setattr(workers, "decode_table", counting_decode)
+        with _service(bundle, block_size=4) as inline, \
+                _service(database_bundle) as inline_db:
+            table = inline.sample_table(8, seed=3)
+            rows = inline.sample_rows(3, {"gender": 1}, seed=5)
+            database = inline_db.sample_database(seed=2)
+        assert counts() == (0, 0)
+        with _service(bundle, shards=1, block_size=4, executor="process") as service:
+            assert service.sample_table(8, seed=3) == table
+            assert counts() == (2, 2)
+            assert service.sample_rows(3, {"gender": 1}, seed=5) == rows
+            assert counts() == (3, 3)
+        with _service(database_bundle, shards=1, executor="process") as service:
+            sampled = service.sample_database(seed=2)
+        assert all(sampled[name] == database[name] for name in database)
+        assert counts() == (3 + len(database), 3 + len(database))
 
 
 class TestWorkerCrash:

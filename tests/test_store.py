@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import struct
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -28,6 +31,8 @@ from repro.store import (
 )
 from repro.store.bundle import BundleWriter, load_bundle
 from repro.store.codec import decode_value, dumps, encode_value, loads
+from repro.store.tablefmt import (WIRE_FORMAT_VERSION, table_from_bytes, table_to_arrays,
+                                  table_to_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,17 @@ class TestCodec:
 # binary table format
 # ---------------------------------------------------------------------------
 
+#: one column of scalars of every type the format stores
+scalar_values = st.lists(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**40, 2**40),
+              st.floats(allow_nan=False, allow_infinity=True), st.text(max_size=8)),
+    min_size=0, max_size=20,
+)
+#: one string column with missing cells (categorical storage where it can be)
+categorical_values = st.lists(st.one_of(st.none(), st.text(max_size=6)),
+                              min_size=1, max_size=30)
+
+
 def _assert_exact_round_trip(table, path):
     loaded = read_table(write_table(table, path))
     assert loaded == table
@@ -241,11 +257,7 @@ class TestTableFormat:
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(
-        st.one_of(st.none(), st.booleans(), st.integers(-2**40, 2**40),
-                  st.floats(allow_nan=False, allow_infinity=True), st.text(max_size=8)),
-        min_size=0, max_size=20,
-    ))
+    @given(scalar_values)
     def test_property_any_scalar_column_round_trips(self, tmp_path, values):
         table = Table({"v": values})
         loaded = read_table(write_table(table, tmp_path / "p.npz"))
@@ -254,7 +266,7 @@ class TestTableFormat:
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.one_of(st.none(), st.text(max_size=6)), min_size=1, max_size=30))
+    @given(categorical_values)
     def test_property_categorical_codes_preserved(self, tmp_path, values):
         table = Table({"s": values})
         loaded = read_table(write_table(table, tmp_path / "c.npz"))
@@ -263,6 +275,108 @@ class TestTableFormat:
             assert theirs.categories == mine.categories
             assert theirs.codes.tolist() == mine.codes.tolist()
         assert loaded.column("s").values == table.column("s").values
+
+    def test_table_without_columns_keeps_its_rows(self, tmp_path):
+        table = Table({"a": [1, 2]}).select([])
+        loaded = read_table(write_table(table, tmp_path / "t.npz"))
+        assert loaded.num_rows == 2 and loaded.num_columns == 0
+
+
+def _same_arrays(left: dict, right: dict) -> bool:
+    """Whether two ``table_to_arrays`` dicts hold the same entries, bit for bit."""
+    return list(left) == list(right) and all(
+        left[name].dtype == right[name].dtype and left[name].shape == right[name].shape
+        and left[name].tobytes() == right[name].tobytes() for name in left)
+
+
+def _reframe(blob: bytes, edit=None, version=None) -> bytes:
+    """Rebuild a wire blob from its documented layout, with *edit* applied to
+    the header's entry list and/or a new *version*, under a valid CRC."""
+    magic, old_version, reserved, header_len = struct.unpack_from("<4sHHI", blob)
+    start = 16 + header_len + -(16 + header_len) % 8
+    entries = json.loads(blob[16:16 + header_len])
+    header = json.dumps(edit(entries) if edit else entries).encode("utf-8")
+    head = struct.pack("<4sHHI", magic, old_version if version is None else version,
+                       reserved, len(header))
+    body = header + bytes(-(16 + len(header)) % 8) + blob[start:]
+    return head + struct.pack("<I", zlib.crc32(body, zlib.crc32(head))) + body
+
+
+class TestWireFormat:
+    """``table_to_bytes``/``table_from_bytes``: the worker pipe's table form."""
+
+    @pytest.mark.parametrize("policy", ["auto", "object"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scalars=scalar_values, labels=categorical_values)
+    def test_property_round_trip_matches_the_npz_path(self, tmp_path, policy,
+                                                      scalars, labels):
+        n = min(len(scalars), len(labels))
+        with using_backend(policy):
+            tables = [Table({"v": scalars}), Table({"s": labels}),
+                      Table({"v": scalars[:n], "s": labels[:n]}),
+                      Table({"s": labels}).select([])]
+        for table in tables:
+            decoded = table_from_bytes(table_to_bytes(table))
+            assert decoded == table
+            assert decoded.dtypes() == table.dtypes()
+            from_file = read_table(write_table(table, tmp_path / "w.npz", compress=False))
+            assert _same_arrays(table_to_arrays(decoded), table_to_arrays(from_file))
+            assert _same_arrays(table_to_arrays(decoded), table_to_arrays(table))
+
+    def test_table_without_columns_keeps_its_rows(self):
+        from repro.serving.workers import decode_table, encode_table
+
+        table = Table({"a": [1, 2]}).select([])
+        assert table_from_bytes(table_to_bytes(table)).num_rows == 2
+        assert decode_table(encode_table(table)).num_rows == 2
+
+    def test_layout_is_the_documented_one(self):
+        table = Table({"i": [1, None, 3], "s": ["a", None, "b"]})
+        blob = table_to_bytes(table)
+        assert blob[:4] == b"RTBL" and len(blob) % 8 == 0
+        assert table_from_bytes(_reframe(blob)) == table
+
+    @pytest.fixture
+    def small_blob(self):
+        return table_to_bytes(Table({"i": [1, None], "s": ["a", None], "m": [1, "x"]}))
+
+    def test_every_truncation_is_rejected(self, small_blob):
+        for size in range(len(small_blob)):
+            with pytest.raises(StoreError):
+                table_from_bytes(small_blob[:size])
+        with pytest.raises(StoreError):
+            table_from_bytes(small_blob + bytes(8))
+
+    def test_every_flipped_bit_is_rejected(self, small_blob):
+        for position in range(len(small_blob)):
+            for bit in (0, 5):
+                damaged = bytearray(small_blob)
+                damaged[position] ^= 1 << bit
+                with pytest.raises(StoreError):
+                    table_from_bytes(bytes(damaged))
+
+    def test_object_dtype_is_rejected(self, small_blob):
+        def to_object(entries):
+            entry = next(entry for entry in entries if entry[1] == "<i8")
+            entry[1] = np.dtype(object).str
+            return entries
+
+        with pytest.raises(StoreError, match="dtype"):
+            table_from_bytes(_reframe(small_blob, edit=to_object))
+
+    def test_array_past_the_end_is_rejected(self, small_blob):
+        def stretch(entries):
+            entries[0][4] += 8
+            entries[0][2] = [entries[0][4] // np.dtype(entries[0][1]).itemsize]
+            return entries
+
+        with pytest.raises(StoreError):
+            table_from_bytes(_reframe(small_blob, edit=stretch))
+
+    def test_newer_version_is_rejected(self, small_blob):
+        with pytest.raises(StoreError, match="version"):
+            table_from_bytes(_reframe(small_blob, version=WIRE_FORMAT_VERSION + 1))
 
 
 # ---------------------------------------------------------------------------
